@@ -68,8 +68,12 @@ class TraceCore:
             raise ValueError("records and write_indices must align")
         self.sim = sim
         self.core_id = core_id
-        self.records = records
-        self.write_indices = write_indices
+        # Plain-list columns: the event loop reads one field per event,
+        # and indexing a list is far cheaper than a structured record.
+        self._gaps: list[int] = records["gap"].tolist()
+        self._is_write: list[bool] = (records["op"] == OP_WRITE).tolist()
+        self._lines: list[int] = records["line"].tolist()
+        self._write_idx: list[int] = write_indices.tolist()
         self.controller = controller
         self.cpu = cpu
         self.on_finish = on_finish
@@ -86,10 +90,8 @@ class TraceCore:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Schedule the first gap; no-op for an empty trace slice."""
-        if len(self.records) == 0:
-            self.stats.finish_ns = self.sim.now
-            if self.on_finish:
-                self.on_finish(self)
+        if not self._gaps:
+            self._finish()
             return
         self._execute_gap()
 
@@ -99,22 +101,23 @@ class TraceCore:
 
     # ------------------------------------------------------------------
     def _execute_gap(self) -> None:
-        gap = int(self.records["gap"][self._pc])
+        gap = self._gaps[self._pc]
         delay = gap * self.cpu.base_cpi * self.cpu.cycle_ns
         self.sim.schedule(delay, self._issue)
 
     def _issue(self) -> None:
-        rec = self.records[self._pc]
-        self.stats.instructions += int(rec["gap"])
-        kind = ReqKind.WRITE if rec["op"] == OP_WRITE else ReqKind.READ
+        pc = self._pc
+        self.stats.instructions += self._gaps[pc]
+        kind = ReqKind.WRITE if self._is_write[pc] else ReqKind.READ
         self._req_seq += 1
+        line = self._lines[pc]
         req = MemRequest(
             req_id=(self.core_id << 32) | self._req_seq,
             kind=kind,
             core=self.core_id,
-            line=int(rec["line"]),
-            bank=int(rec["line"]) % self.controller.num_banks,
-            write_idx=int(self.write_indices[self._pc]),
+            line=line,
+            bank=line % self.controller.num_banks,
+            write_idx=self._write_idx[pc],
         )
         if kind is ReqKind.READ:
             req.on_done = self._read_done
@@ -174,7 +177,7 @@ class TraceCore:
 
     def _advance(self) -> None:
         self._pc += 1
-        if self._pc >= len(self.records):
+        if self._pc >= len(self._gaps):
             self._all_issued = True
             if self._outstanding == 0:
                 self._finish()
@@ -183,5 +186,9 @@ class TraceCore:
 
     def _finish(self) -> None:
         self.stats.finish_ns = self.sim.now
-        if self.on_finish:
-            self.on_finish(self)
+        # Fire once and drop the callback: it usually points back at the
+        # owner of this core, and breaking that cycle lets a finished run
+        # (with its per-core trace columns) be freed by reference counting.
+        on_finish, self.on_finish = self.on_finish, None
+        if on_finish:
+            on_finish(self)

@@ -13,6 +13,34 @@ the core registers a waiter callback that fires when a slot frees —
 modelling the pipeline backpressure that makes slow writes throttle
 issue.  Read forwarding: a read hitting a line with a pending write is
 answered from the write queue in ``forward_latency_ns``.
+
+Scheduling is event-driven.  A kick (one per timestamp with activity)
+walks only the banks in a *wake* bitmask, in ascending order, in a
+single pass: a bank woken above the current position during the pass is
+served in the same pass, one woken at or below it waits for the next
+kick.  A bank ``b`` is woken by
+
+* a request submitted to ``b`` (including a read that pauses ``b``'s
+  in-flight write);
+* a completion on ``b``, of the main service or of the subarray read
+  port;
+* a write starting service on ``b`` when ``subarrays_per_bank > 1``, so
+  the next kick tries a read under that write;
+* drain mode turning on, which wakes every bank with a pending write
+  (:meth:`MemoryController.flush_writes` sets ``force_drain``, which
+  turns it on at the next observation unless it is already on).
+
+Invariant: an idle, unpaused bank that is not woken has no candidate
+under the current drain state, so :meth:`FRFCFSPolicy.select` is called
+only for woken idle banks that have one, and never returns None here.
+
+Drain state is observed only inside a kick, exactly where a scan of
+every bank would have called ``select``: at the first idle, unpaused
+bank at or after the current position, whenever an observation there
+would change the state (the write occupancy crossed a watermark since
+the last observation, or ``force_drain`` was just set).  An observation
+that would change nothing is skipped, which leaves ``drain_entries`` and
+every scheduling decision as they were under the full scan.
 """
 
 from __future__ import annotations
@@ -135,6 +163,9 @@ class MemoryController:
         self.stats = ControllerStats(warmup_requests=warmup_requests)
         self.forward_latency_ns = forward_latency_ns
         self.enable_forwarding = enable_forwarding
+        # Banks the next kick must visit (bit b = bank b); see the module
+        # docstring for what sets a bit.
+        self._wake = 0
         self._read_waiters: deque[Callable[[], None]] = deque()
         self._write_waiters: deque[Callable[[], None]] = deque()
         self._kick_scheduled = False
@@ -216,8 +247,10 @@ class MemoryController:
                 self._maybe_pause(req)
         else:
             if self.config.memctrl.write_coalescing:
-                pending = self.write_queue.oldest_where(
-                    lambda r: r.line == req.line
+                pending = next(
+                    (r for r in self.write_queue.for_bank(req.bank)
+                     if r.line == req.line),
+                    None,
                 )
                 if pending is not None:
                     # Absorb: the queued entry will carry the newest data
@@ -240,6 +273,7 @@ class MemoryController:
             self._sample_occupancy()
         if self._obs is not None:
             self._trace_depths()
+        self._wake |= 1 << req.bank
         self._schedule_kick()
         return True
 
@@ -298,12 +332,7 @@ class MemoryController:
             return False
         req, remaining = paused
         self._paused[bank] = None
-        self.bank_busy[bank] = True
-        self.stats.bank_busy_ns[bank] = (
-            self.stats.bank_busy_ns.get(bank, 0.0) + remaining
-        )
-        event = self.sim.schedule(remaining, self._complete, bank, req)
-        self._inflight[bank] = (req, event, self.sim.now + remaining)
+        self._begin(bank, req, remaining)
         return True
 
     def stall_until_read_slot(self, callback: Callable[[], None]) -> None:
@@ -323,24 +352,75 @@ class MemoryController:
 
     def _kick(self) -> None:
         self._kick_scheduled = False
-        for bank in range(self.num_banks):
+        policy = self.policy
+        read_queue, write_queue = self.read_queue, self.write_queue
+        opportunistic = self.config.memctrl.opportunistic_drain
+        pos = 0  # banks below pos have been passed in this kick
+        while True:
+            above = -1 << pos
+            visit = self._wake & above
+            # A pending drain transition is observed at the first idle,
+            # unpaused bank at or after pos (see the module docstring).
+            observe = policy.next_drain_state(write_queue) != policy.draining
+            if observe:
+                free = self._first_free(pos)
+                if free is not None:
+                    visit |= 1 << free
+            if not visit:
+                return
+            bit = visit & -visit
+            bank = bit.bit_length() - 1
+            pos = bank + 1
+            woken = self._wake & bit
+            self._wake &= ~bit
             if self.bank_busy[bank]:
-                if self.subarrays > 1:
+                if woken and self.subarrays > 1:
                     self._try_read_under_write(bank)
                 continue
             if self._paused[bank] is not None:
                 # A paused write owns the bank: pending reads cut in line,
                 # anything else waits for the resume.
-                read = self.read_queue.oldest_for_bank(bank)
+                read = read_queue.oldest_for_bank(bank)
                 if read is not None:
                     self._start_service(bank, read)
                 else:
                     self._resume_paused(bank)
                 continue
-            req = self.policy.select(bank, self.read_queue, self.write_queue)
-            if req is None:
-                continue
-            self._start_service(bank, req)
+            # An idle, unpaused bank visited with `observe` set is the
+            # observation point (any lower one would have come first),
+            # and the observation flips the drain state.
+            draining = policy.draining
+            if observe:
+                draining = not draining
+                if draining:
+                    self._wake_writes()
+                    woken |= self._wake & bit
+                    self._wake &= ~bit
+            if woken and (
+                read_queue.has_bank(bank)
+                or (
+                    (draining or opportunistic)
+                    and write_queue.has_bank(bank)
+                )
+            ):
+                self._start_service(
+                    bank, policy.select(bank, read_queue, write_queue)
+                )
+            elif observe:
+                policy.update_drain_state(write_queue)
+
+    def _first_free(self, pos: int) -> int | None:
+        """Lowest idle, unpaused bank at or after ``pos``."""
+        for bank in range(pos, self.num_banks):
+            if not self.bank_busy[bank] and self._paused[bank] is None:
+                return bank
+        return None
+
+    def _wake_writes(self) -> None:
+        """Wake every bank with a pending write (drain mode turned on)."""
+        for bank in range(self.num_banks):
+            if self.write_queue.has_bank(bank):
+                self._wake |= 1 << bank
 
     def _start_service(self, bank: int, req: MemRequest) -> None:
         queue = self.read_queue if req.kind is ReqKind.READ else self.write_queue
@@ -360,12 +440,18 @@ class MemoryController:
             service_ns = self.service.write_ns(req)
         if service_ns < 0:
             raise ValueError(f"negative service time for {req}")
+        self._begin(bank, req, service_ns)
+
+    def _begin(self, bank: int, req: MemRequest, service_ns: float) -> None:
+        """Occupy ``bank`` with ``req`` for ``service_ns``."""
         self.bank_busy[bank] = True
         self.stats.bank_busy_ns[bank] = (
             self.stats.bank_busy_ns.get(bank, 0.0) + service_ns
         )
         event = self.sim.schedule(service_ns, self._complete, bank, req)
         self._inflight[bank] = (req, event, self.sim.now + service_ns)
+        if self.subarrays > 1 and req.kind is ReqKind.WRITE:
+            self._wake |= 1 << bank
 
     def _try_read_under_write(self, bank: int) -> None:
         """Serve a read through a free subarray while a write occupies
@@ -376,8 +462,10 @@ class MemoryController:
         if inflight is None or inflight[0].kind is not ReqKind.WRITE:
             return
         write_sub = self._subarray_of(inflight[0].line)
-        read = self.read_queue.oldest_where(
-            lambda r: r.bank == bank and self._subarray_of(r.line) != write_sub
+        read = next(
+            (r for r in self.read_queue.for_bank(bank)
+             if self._subarray_of(r.line) != write_sub),
+            None,
         )
         if read is None:
             return
@@ -395,6 +483,7 @@ class MemoryController:
         self.stats.record(req)
         if req.on_done is not None:
             req.on_done(req)
+        self._wake |= 1 << bank
         self._schedule_kick()
 
     def _notify_waiters(self, kind: ReqKind) -> None:
@@ -414,6 +503,7 @@ class MemoryController:
             self._trace_complete(bank, req)
         if req.on_done is not None:
             req.on_done(req)
+        self._wake |= 1 << bank
         self._schedule_kick()
 
     def _complete_forward(self, req: MemRequest) -> None:

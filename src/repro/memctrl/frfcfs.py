@@ -78,26 +78,33 @@ class FRFCFSPolicy:
         self.force_drain = False
 
     # ------------------------------------------------------------------
-    def update_drain_state(self, write_queue: BoundedQueue) -> None:
+    def next_drain_state(self, write_queue: BoundedQueue) -> bool:
+        """Drain state the next observation would leave; changes nothing.
+
+        Under the watermark hysteresis (low < high) this differs from
+        ``draining`` only after the write occupancy crossed a watermark or
+        ``force_drain`` was set, which is when an observation matters.
+        """
         if self.force_drain:
-            self.draining = True
-            return
-        occ = write_queue.occupancy()
-        if not self.draining and occ >= self.config.drain_high_watermark:
-            self.draining = True
+            return True
+        occ = len(write_queue)
+        if self.draining:
+            return occ > self.config.drain_low_watermark
+        return occ >= self.config.drain_high_watermark
+
+    def update_drain_state(self, write_queue: BoundedQueue) -> None:
+        draining = self.next_drain_state(write_queue)
+        if draining and not self.draining and not self.force_drain:
             self.drain_entries += 1
-        elif self.draining and occ <= self.config.drain_low_watermark:
-            self.draining = False
+        self.draining = draining
 
     def _first_ready(self, queue: BoundedQueue, bank: int) -> MemRequest | None:
         """Row-hit-first within the bank when a row buffer exists,
         otherwise plain oldest-for-bank (flat-timing degeneration)."""
         if self.row_buffer is not None:
-            hit = queue.oldest_where(
-                lambda r: r.bank == bank and self.row_buffer.is_hit(bank, r.line)
-            )
-            if hit is not None:
-                return hit
+            for req in queue.for_bank(bank):
+                if self.row_buffer.is_hit(bank, req.line):
+                    return req
         return queue.oldest_for_bank(bank)
 
     def _next_write(self, write_queue: BoundedQueue, bank: int) -> MemRequest | None:
@@ -107,9 +114,7 @@ class FRFCFSPolicy:
         ):
             best: MemRequest | None = None
             best_ns = 0.0
-            for req in write_queue:
-                if req.bank != bank:
-                    continue
+            for req in write_queue.for_bank(bank):
                 ns = self.write_predictor(req)
                 if best is None or ns < best_ns:
                     best, best_ns = req, ns
@@ -124,10 +129,10 @@ class FRFCFSPolicy:
     ) -> MemRequest | None:
         """Pick the next request for an idle bank (or None).
 
-        Candidate lookups are lazy: the losing queue is only scanned when
-        the winning queue has no candidate for the bank.  select() runs
-        after every bank completion, so skipping the dead scan is a real
-        win on read-heavy phases (candidate search is O(queue)).
+        Candidate lookups are lazy: the losing queue is only consulted
+        when the winning queue has no candidate for the bank.  The result
+        is None exactly when the bank has no read queued and its writes
+        (if any) are ineligible: not draining and no opportunistic drain.
         """
         self.update_drain_state(write_queue)
         if self.draining:

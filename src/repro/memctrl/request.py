@@ -14,9 +14,12 @@ class ReqKind(enum.Enum):
     WRITE = "write"
 
 
-@dataclass
+@dataclass(eq=False)
 class MemRequest:
     """One post-LLC request flowing through the controller.
+
+    Equality is identity: every request is a distinct object, and queue
+    removal must not compare field tuples.
 
     ``write_idx`` indexes the trace's write-payload/count tables (and the
     precomputed service-time array); -1 for reads.  Timestamps are filled

@@ -44,6 +44,29 @@ class TestSelection:
         q.push(req(1, bank=0))
         assert q.oldest_for_bank(5) is None
 
+    def test_bank_index_tracks_push_and_remove(self):
+        q = BoundedQueue(8)
+        a, b, c = req(1, bank=1), req(2, bank=0), req(3, bank=1)
+        for r in (a, b, c):
+            q.push(r)
+        assert q.has_bank(1) and q.has_bank(0) and not q.has_bank(2)
+        assert list(q.for_bank(1)) == [a, c]
+        q.remove(a)
+        assert q.oldest_for_bank(1) is c
+        q.remove(c)
+        assert not q.has_bank(1)
+        assert list(q.for_bank(1)) == []
+        assert q.oldest_for_bank(1) is None
+
+    def test_remove_is_by_identity(self):
+        q = BoundedQueue(8)
+        a, twin = req(1, bank=3), req(1, bank=3)
+        q.push(a)
+        q.push(twin)
+        q.remove(twin)
+        assert q.oldest_for_bank(3) is a
+        assert list(q) == [a]
+
     def test_oldest_where(self):
         q = BoundedQueue(8)
         q.push(req(1, line=10))
@@ -69,12 +92,6 @@ class TestRemovalAndLines:
         assert q.contains_line(5)       # second request still pending
         q.remove(b)
         assert not q.contains_line(5)
-
-    def test_banks_pending(self):
-        q = BoundedQueue(8)
-        q.push(req(1, bank=2))
-        q.push(req(2, bank=4))
-        assert q.banks_pending() == {2, 4}
 
     def test_iteration_order_is_fifo(self):
         q = BoundedQueue(8)
