@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.analysis.report import format_table
 from repro.core.read_stage import cost_aware_flip, read_stage
-from repro.pcm.energy import EnergyModel
+from repro.core.energy import EnergyModel
 
 from _bench_utils import emit
 

@@ -84,5 +84,6 @@ print(format_table(
     rows,
     title="Custom scheme running inside the Fig 11-14 harness (dedup)",
 ))
-print("\nTo add a precompute fast path for big sweeps, extend"
-      "\nrepro.experiments.fullsystem.precompute_write_service.")
+print("\nTo price it vectorized for big sweeps, add a PricingRule to"
+      "\nrepro.core.pricing.PRICING; until then the precompute path raises"
+      "\nKeyError for it and run_fullsystem(..., functional=True) runs it.")

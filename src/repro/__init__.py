@@ -6,10 +6,11 @@ Public API tour
 * :mod:`repro.config` — Table II parameter sets (:func:`default_config`,
   :func:`mobile_config`).
 * :mod:`repro.core` — the contribution: Algorithm 1 read stage,
-  Algorithm 2 analysis/packing, the FSM executor, Equation 5.
+  Algorithm 2 analysis/packing, the FSM executor, Equation 5, and the
+  per-write pricer and energy model both sweep lanes share.
 * :mod:`repro.schemes` — the uniform write-scheme interface: DCW,
   Conventional, Flip-N-Write, 2-Stage-Write, Three-Stage-Write, Tetris.
-* :mod:`repro.pcm` — the device substrate: timing/power/energy, chips,
+* :mod:`repro.pcm` — the device substrate: timing/power, chips,
   banks, device, write driver.
 * :mod:`repro.memctrl` / :mod:`repro.cpu` / :mod:`repro.cache` /
   :mod:`repro.sim` — the full-system substrates (FR-FCFS controller,

@@ -23,6 +23,7 @@ Algorithm 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -116,48 +117,70 @@ class GeneralizedScheduler:
         sched = GeneralizedSchedule(
             sub_slot_ns=self.sub_slot_ns, power_budget=self.power_budget
         )
+        sched.total_subslots = self._place(demands, sched.bursts)
+        sched.validate()
+        return sched
+
+    def total_subslots(self, demands: dict[BurstClass, np.ndarray]) -> int:
+        """``schedule(demands).total_subslots``, without building bursts.
+
+        The per-write entry of ``repro.core.pricing``: same placement,
+        same budget assertion, no :class:`PlacedBurst` objects.
+        """
+        return self._place(demands, None)
+
+    def _place(self, demands, bursts: list[PlacedBurst] | None) -> int:
+        """Earliest-fit packing; returns the occupied sub-slot count and
+        appends one :class:`PlacedBurst` per burst unless ``bursts`` is None.
+
+        A start fits when every existing sub-slot the burst spans keeps
+        ``occupancy + current <= budget + 1e-12``; one pass finds the
+        first run of ``duration`` fitting sub-slots, else the fitting run
+        that reaches the end of the timeline, else the end itself.
+        """
         items: list[tuple[int, float, BurstClass, int, int]] = []
         for cls, counts in demands.items():
-            counts = np.atleast_1d(np.asarray(counts, dtype=np.int64))
+            counts = np.atleast_1d(np.asarray(counts, dtype=np.int64)).tolist()
+            max_cells = int(self.power_budget // cls.current_per_cell)
             for unit, n in enumerate(counts):
-                n = int(n)
+                if n > 0 and max_cells < 1:
+                    raise ValueError(f"budget below one {cls.name} cell's current")
                 while n > 0:
-                    max_cells = int(self.power_budget // cls.current_per_cell)
-                    if max_cells < 1:
-                        raise ValueError(
-                            f"budget below one {cls.name} cell's current"
-                        )
-                    chunk = min(n, max_cells)
+                    chunk = n if n < max_cells else max_cells
                     items.append(
                         (cls.duration_subslots, chunk * cls.current_per_cell,
                          cls, unit, chunk)
                     )
                     n -= chunk
-        # Longest first, then most current — the Tetris ordering.
-        items.sort(key=lambda it: (-it[0], -it[1]))
+        # Longest first, then most current — the Tetris ordering (stable).
+        items.sort(key=itemgetter(0, 1), reverse=True)
 
-        occ = np.zeros(0, dtype=np.float64)
+        limit = self.power_budget + 1e-12
+        occ: list[float] = []
         for duration, current, cls, unit, cells in items:
-            start = self._earliest_fit(occ, duration, current)
+            size = len(occ)
+            run = 0
+            for t, o in enumerate(occ):
+                if o + current <= limit:
+                    run += 1
+                    if run == duration:
+                        start = t + 1 - duration
+                        break
+                else:
+                    run = 0
+            else:
+                start = size - run
             end = start + duration
-            if end > occ.size:
-                occ = np.concatenate([occ, np.zeros(end - occ.size)])
-            occ[start:end] += current
-            sched.bursts.append(
-                PlacedBurst(unit=unit, burst_class=cls,
-                            start_subslot=start, n_cells=cells)
-            )
-        sched.total_subslots = occ.size
-        sched.validate()
-        return sched
-
-    def _earliest_fit(
-        self, occ: np.ndarray, duration: int, current: float
-    ) -> int:
-        budget = self.power_budget
-        n = occ.size
-        for start in range(n):
-            end = min(start + duration, n)
-            if np.all(occ[start:end] + current <= budget + 1e-12):
-                return start
-        return n
+            if end > size:
+                occ.extend([0.0] * (end - size))
+            for t in range(start, end):
+                occ[t] += current
+            if bursts is not None:
+                bursts.append(
+                    PlacedBurst(unit=unit, burst_class=cls,
+                                start_subslot=start, n_cells=cells)
+                )
+        assert not occ or max(occ) <= self.power_budget + 1e-9, (
+            f"budget exceeded: {max(occ)} > {self.power_budget}"
+        )
+        return len(occ)

@@ -3,12 +3,9 @@
 Two halves, mirroring the two halves of a DES cell
 (:func:`repro.parallel.engine._execute_cell`):
 
-* :func:`price_write_service` — per-write ``(service_ns, units, energy)``
-  arrays, the same numbers ``precompute_write_service`` produces but
-  built only from the oracle's closed forms (Eqs. 1-4), the vectorized
-  Algorithm-2 packer (``repro.core.batch``) and the count tables the
-  trace already carries.  Bit-identical to the production tables by
-  construction (asserted in ``tests/test_fastpath.py``).
+* :func:`price_write_service` — the per-write service table from
+  :func:`repro.core.pricing.price_writes`, the one pricer the DES lane's
+  ``precompute_write_service`` also calls.
 * :func:`model_cell` — a two-regime analytic model of the restricted
   controller semantics that replaces the event-driven simulation:
 
@@ -31,12 +28,12 @@ Two halves, mirroring the two halves of a DES cell
   max 5.6% (read latency on saturated cells); see docs/PERFORMANCE.md.
 
 Import discipline (simlint SL016): this package must not import
-``repro.sim``, ``repro.pcm`` or ``repro.schemes`` — the fast path has to
-stay falsifiable against the production simulator, which it cannot be if
-it computes answers *with* the production simulator.  The energy
-constants below therefore mirror ``repro.pcm.energy.EnergyModel`` rather
-than importing it; ``tests/test_fastpath.py`` pins them to the real
-model.
+``repro.sim``, ``repro.pcm`` or ``repro.schemes`` — the queueing model
+has to stay falsifiable against the production simulator, which it
+cannot be if it computes answers *with* the production simulator.  The
+write prices are a shared input both lanes must agree on bit for bit,
+so they come from ``repro.core``; ``tests/test_pricing.py`` checks them
+against the oracle's independent closed forms.
 """
 
 from __future__ import annotations
@@ -47,8 +44,7 @@ from collections import deque
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.core.batch import pack_batch
-from repro.oracle import analytic
+from repro.core.pricing import PRICING, WriteServiceTable, price_writes
 from repro.trace.record import OP_WRITE, Trace
 
 __all__ = [
@@ -58,145 +54,25 @@ __all__ = [
     "price_write_service",
 ]
 
-#: Schemes the pricer covers — a subset of the production registry
-#: (pinned by tests); an unknown name routes the cell to the DES with
-#: the ``unpriced-scheme`` envelope reason (currently only ``palp``,
-#: whose min-of-two-plans packing has no vectorized pricer yet).
-PRICED_SCHEMES = frozenset(
-    {
-        "conventional",
-        "dcw",
-        "flip_n_write",
-        "two_stage",
-        "three_stage",
-        "tetris",
-        "tetris_relaxed",
-        "preset",
-        "wire",
-        "datacon",
-    }
-)
-
-#: Schemes that pay the read-before-write (``WriteScheme.requires_read``).
-_READ_SCHEMES = frozenset(
-    {"dcw", "flip_n_write", "three_stage", "tetris", "tetris_relaxed",
-     "wire", "datacon"}
-)
-
-#: Schemes that pay the analysis stage on every write.
-_ANALYSIS_SCHEMES = frozenset({"tetris", "tetris_relaxed"})
-
-#: Mirror of ``EnergyModel.read_energy_per_line`` (not a config knob).
-READ_ENERGY_PER_LINE = 10.0
-
-#: Mirror of ``precompute_write_service``'s PreSET expectation: random
-#: line content has ~half zeros per 64-bit unit.
-PRESET_EXPECTED_ZEROS = 32
+#: Schemes the analytic lane prices; any other name routes the cell to
+#: the DES with the ``unpriced-scheme`` envelope reason.  ``palp`` has a
+#: pricing rule but no measured agreement band, so it stays on the DES.
+PRICED_SCHEMES = frozenset(PRICING) - {"palp"}
 
 #: Mirror of ``MemoryController.forward_latency_ns`` (constructor
 #: default; the sweep path never overrides it).
 FWD_LATENCY_NS = 1.0
 
 
-# ----------------------------------------------------------------------
-# Write-service pricing: the precompute_write_service mirror.
-# ----------------------------------------------------------------------
 def price_write_service(
     trace: Trace, scheme: str, config: SystemConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-write ``(service_ns, units, energy)`` for one (trace, scheme).
+) -> WriteServiceTable:
+    """The analytic lane's per-write prices: :func:`price_writes`.
 
-    Reproduces ``precompute_write_service(trace, scheme, config)`` (no
-    variation, no adaptive analysis — the sweep engine's exact call)
-    without touching ``repro.pcm`` / ``repro.schemes``.
+    A module-level name of its own, so the lane's pricing calls stay
+    distinguishable from the DES lane's ``precompute_write_service``.
     """
-    if scheme not in PRICED_SCHEMES:
-        raise KeyError(f"no analytic pricing for scheme {scheme!r}")
-    point = analytic.OperatingPoint.from_config(config)
-    n_writes = trace.n_writes
-    n_set = trace.write_counts[..., 0].astype(np.int64)
-    n_reset = trace.write_counts[..., 1].astype(np.int64)
-    changed_set = n_set.sum(axis=1)
-    changed_reset = n_reset.sum(axis=1)
-    cells_per_line = trace.units_per_line * config.data_unit_bits
-    e_set = 1.0 * config.timings.t_set_ns
-    e_reset = config.L * config.timings.t_reset_ns
-    read_energy = READ_ENERGY_PER_LINE if scheme in _READ_SCHEMES else 0.0
-    t_read = config.timings.t_read_ns
-    t_set = config.timings.t_set_ns
-
-    if scheme == "preset":
-        n_zero = np.full(
-            (n_writes, trace.units_per_line), PRESET_EXPECTED_ZEROS, dtype=np.int64
-        )
-        packed = pack_batch(
-            np.zeros_like(n_zero),
-            n_zero,
-            K=config.K,
-            L=config.L,
-            power_budget=config.bank_power_budget,
-            allow_split=True,
-        )
-        units = packed.service_units()
-        service = units * t_set
-        cells = n_zero.sum(axis=1).astype(np.float64)
-        energy = cells * (e_reset + e_set)
-    elif scheme == "tetris_relaxed":
-        units = np.array(
-            [
-                analytic.tetris_relaxed_units(n_set[w], n_reset[w], point)
-                for w in range(n_writes)
-            ]
-        )
-        service = t_read + config.analysis_overhead_ns + units * t_set
-        energy = _write_energy(changed_set, changed_reset, e_set, e_reset) + read_energy
-    elif scheme == "datacon":
-        # One conventional per-data-unit share per dirty unit; energy is
-        # DCW's (changed cells, plain encoding).
-        dirty = np.count_nonzero(n_set + n_reset, axis=1)
-        per_dirty = config.units_per_line / config.data_units_per_line
-        units = dirty.astype(np.float64) * per_dirty
-        service = t_read + units * t_set
-        energy = _write_energy(changed_set, changed_reset, e_set, e_reset) + read_energy
-    elif scheme == "tetris":
-        packed = pack_batch(
-            n_set,
-            n_reset,
-            K=config.K,
-            L=config.L,
-            power_budget=config.bank_power_budget,
-            allow_split=True,
-        )
-        units = packed.service_units()
-        service = t_read + config.analysis_overhead_ns + units * t_set
-        energy = _write_energy(changed_set, changed_reset, e_set, e_reset) + read_energy
-    else:
-        wc_units = analytic.worst_case_units(scheme, point)
-        units = np.full(n_writes, wc_units)
-        read = t_read if scheme in _READ_SCHEMES else 0.0
-        service = np.full(n_writes, read + wc_units * t_set)
-        if scheme in ("conventional", "two_stage"):
-            half = cells_per_line / 2.0
-            energy = np.full(n_writes, float(_write_energy(half, half, e_set, e_reset)))
-            energy += read_energy
-        else:
-            energy = (
-                _write_energy(changed_set, changed_reset, e_set, e_reset) + read_energy
-            )
-
-    return (
-        np.asarray(service, dtype=np.float64),
-        np.asarray(units, dtype=np.float64),
-        np.asarray(energy, dtype=np.float64),
-    )
-
-
-def _write_energy(n_set_bits, n_reset_bits, e_set: float, e_reset: float):
-    """Mirror of ``EnergyModel.write_energy`` (same dtype discipline)."""
-    return (
-        np.asarray(n_set_bits, dtype=np.float64) * e_set
-        + np.asarray(n_reset_bits, dtype=np.float64) * e_reset
-    )
+    return price_writes(trace, scheme, config)
 
 
 # ----------------------------------------------------------------------
@@ -257,8 +133,8 @@ def model_cell(
 
     Returns ``(read_latency_ns, write_latency_ns, ipc, runtime_ns,
     forwarded_reads)`` — the DES outputs the sweep rows are built from.
-    ``service_ns`` is the per-write service array (from
-    :func:`price_write_service` or a production table).
+    ``service_ns`` is the per-write service array (a
+    :func:`price_write_service` table's ``service_ns``).
     """
     t_read = config.timings.t_read_ns
     fwd_ns = FWD_LATENCY_NS
@@ -555,8 +431,10 @@ def price_cell(
     ``events`` is 0 — the analytic lane processes no DES events — which
     also marks the row's lane in cached artifacts.
     """
-    service, units, energy = price_write_service(trace, scheme, config)
-    read_lat, w_lat, ipc, runtime, n_fwd = model_cell(trace, service, config)
+    table = price_write_service(trace, scheme, config)
+    read_lat, w_lat, ipc, runtime, n_fwd = model_cell(
+        trace, table.service_ns, config
+    )
     return {
         "workload": workload,
         "scheme": scheme,
@@ -564,8 +442,10 @@ def price_cell(
         "write_latency_ns": float(w_lat),
         "ipc": float(ipc),
         "runtime_ns": float(runtime),
-        "mean_write_units": float(units.mean()) if units.size else 0.0,
-        "mean_write_energy": float(energy.mean()) if energy.size else 0.0,
+        "mean_write_units": table.mean_units(),
+        "mean_write_energy": (
+            float(table.energy.mean()) if table.energy.size else 0.0
+        ),
         "forwarded_reads": int(n_fwd),
         "events": 0,
     }

@@ -1,4 +1,4 @@
-"""PCM device substrate: timing, power, energy, chip/bank/device models.
+"""PCM device substrate: timing, power, chip/bank/device models.
 
 This package models the Samsung-prototype SLC PCM the paper simulates with
 NVMain: per-cell SET/RESET/READ timing, the charge-pump current budget
@@ -7,7 +7,6 @@ chip write path (write driver with PROG-enable gating, Fig. 9), and the
 bank/rank/device organization of Table II.
 """
 
-from repro.pcm.energy import EnergyModel
 from repro.pcm.state import LineState, MemoryImage
 from repro.pcm.wear import StartGapLeveler, WearStats, WearTracker
 from repro.pcm.write_driver import WriteDriver, DriverCommand
@@ -18,7 +17,6 @@ from repro.pcm.device import PCMDevice, AddressMap
 __all__ = [
     "AddressMap",
     "DriverCommand",
-    "EnergyModel",
     "LineState",
     "MemoryImage",
     "PCMBank",

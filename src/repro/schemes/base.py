@@ -25,7 +25,8 @@ import numpy as np
 
 from repro.config import SystemConfig, default_config
 from repro.obs.runtime import tracer_for
-from repro.pcm.energy import EnergyModel
+from repro.core.energy import EnergyModel
+from repro.core.pricing import PRICING
 from repro.pcm.state import LineState
 from repro.pcm.wear import WearTracker
 from repro.verify.invariants import runtime_verification_enabled, verify_outcome
@@ -48,7 +49,7 @@ class WriteOutcome:
     n_set / n_reset:
         Cells actually programmed to '1' / '0'.
     energy:
-        Normalized energy (see :class:`~repro.pcm.energy.EnergyModel`).
+        Normalized energy (see :class:`~repro.core.energy.EnergyModel`).
     flipped_units:
         How many data units were stored inverted by this write.
     attempts:
@@ -95,11 +96,7 @@ class WriteScheme(ABC):
 
     def __init__(self, config: SystemConfig | None = None) -> None:
         self.config = config if config is not None else default_config()
-        self.energy_model = EnergyModel(
-            t_set_ns=self.config.timings.t_set_ns,
-            t_reset_ns=self.config.timings.t_reset_ns,
-            reset_current_ratio=self.config.L,
-        )
+        self.energy_model = EnergyModel.for_config(self.config)
         # Resolved once so the disabled case costs one attribute test on
         # the hot path (config flag OR the REPRO_VERIFY environment).
         self.verify = runtime_verification_enabled(self.config)
@@ -341,6 +338,17 @@ class WriteScheme(ABC):
         if self.verify:
             verify_outcome(outcome, t_set_ns=self.t_set)
         return outcome
+
+
+def declared_worst_case_units(self: WriteScheme) -> float:
+    """``worst_case_units`` of a scheme with a ``repro.core.pricing`` rule.
+
+    Registered schemes bind it in their class body
+    (``worst_case_units = declared_worst_case_units``), so the
+    queue-admission bound and the vectorized pricer's fixed-latency
+    price come from one closed form.
+    """
+    return PRICING[self.name].worst_case(self.config)
 
 
 def get_scheme(

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.pricing import PRICING
 from repro.pcm.state import LineState
-from repro.schemes.base import WriteOutcome, WriteScheme
+from repro.schemes.base import WriteOutcome, WriteScheme, declared_worst_case_units
 
 __all__ = ["ConventionalWrite"]
 
@@ -20,10 +21,8 @@ class ConventionalWrite(WriteScheme):
     """``T = (N/M) * Tset``; programs every cell to its new value."""
 
     name = "conventional"
-    requires_read = False
-
-    def worst_case_units(self) -> float:
-        return float(self.config.units_per_line)
+    requires_read = PRICING[name].requires_read
+    worst_case_units = declared_worst_case_units
 
     def _write_once(self, state: LineState, new_logical: np.ndarray) -> WriteOutcome:
         new_logical = np.asarray(new_logical, dtype=np.uint64)

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.pricing import PRICING
 from repro.pcm.state import LineState
-from repro.schemes.base import WriteOutcome, WriteScheme
+from repro.schemes.base import WriteOutcome, WriteScheme, declared_worst_case_units
 from repro.util.bits import reset_mask, set_mask
 
 __all__ = ["DataConWrite"]
@@ -36,11 +37,8 @@ class DataConWrite(WriteScheme):
     """``T = Tread + dirty_units * Tset``; programs changed units only."""
 
     name = "datacon"
-    requires_read = True
-
-    def worst_case_units(self) -> float:
-        """Fully dirty line: every unit programs, same as Eq. 1."""
-        return float(self.config.units_per_line)
+    requires_read = PRICING[name].requires_read
+    worst_case_units = declared_worst_case_units
 
     def _write_once(self, state: LineState, new_logical: np.ndarray) -> WriteOutcome:
         new_logical = np.asarray(new_logical, dtype=np.uint64)

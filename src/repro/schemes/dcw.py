@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.pricing import PRICING
 from repro.pcm.state import LineState
-from repro.schemes.base import WriteOutcome, WriteScheme
+from repro.schemes.base import WriteOutcome, WriteScheme, declared_worst_case_units
 from repro.util.bits import reset_mask, set_mask
 
 __all__ = ["DCWWrite"]
@@ -23,10 +24,8 @@ class DCWWrite(WriteScheme):
     """``T = Tread + (N/M) * Tset``; programs changed cells only."""
 
     name = "dcw"
-    requires_read = True
-
-    def worst_case_units(self) -> float:
-        return float(self.config.units_per_line)
+    requires_read = PRICING[name].requires_read
+    worst_case_units = declared_worst_case_units
 
     def _write_once(self, state: LineState, new_logical: np.ndarray) -> WriteOutcome:
         new_logical = np.asarray(new_logical, dtype=np.uint64)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.pricing import PRICING
 from repro.core.read_stage import cost_aware_flip, read_stage
 from repro.pcm.state import LineState
-from repro.schemes.base import WriteOutcome, WriteScheme
+from repro.schemes.base import WriteOutcome, WriteScheme, declared_worst_case_units
 
 __all__ = ["FlipNWrite"]
 
@@ -27,7 +28,8 @@ class FlipNWrite(WriteScheme):
     """
 
     name = "flip_n_write"
-    requires_read = True
+    requires_read = PRICING[name].requires_read
+    worst_case_units = declared_worst_case_units
 
     def __init__(self, config=None, *, flip_policy: str = "count") -> None:
         super().__init__(config)
@@ -35,8 +37,6 @@ class FlipNWrite(WriteScheme):
             raise ValueError("flip_policy must be 'count' or 'cost'")
         self.flip_policy = flip_policy
 
-    def worst_case_units(self) -> float:
-        return self.config.units_per_line / 2.0
 
     def _write_once(self, state: LineState, new_logical: np.ndarray) -> WriteOutcome:
         new_logical = np.asarray(new_logical, dtype=np.uint64)

@@ -26,8 +26,10 @@ infeasible and the controller always issues the serial plan.
 Like Tetris, PALP pays the read stage and the analysis overhead (it
 runs Algorithm 2 twice, but the two packs are independent hardware
 passes over the same counts, so the measured 41-cycle overhead is
-unchanged).  PALP has no analytic fastpath pricer yet — sweeps route it
-to the DES lane with the ``unpriced-scheme`` envelope reason.
+unchanged).  ``repro.core.pricing`` prices PALP's writes for both sweep
+lanes, but the analytic lane has no measured agreement band for it, so
+sweeps still route PALP cells to the DES with the ``unpriced-scheme``
+envelope reason.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.core.analysis import TetrisScheduler
+from repro.core.pricing import PALP_PARTITIONS, PRICING
 from repro.core.read_stage import read_stage
 from repro.pcm.state import LineState
-from repro.schemes.base import WriteOutcome, WriteScheme
+from repro.schemes.base import WriteOutcome, WriteScheme, declared_worst_case_units
 
 __all__ = ["PALPWrite"]
 
@@ -49,10 +52,11 @@ class PALPWrite(WriteScheme):
     """``units = min(serial Tetris, slowest-partition Tetris at budget/P)``."""
 
     name = "palp"
-    requires_read = True
+    requires_read = PRICING[name].requires_read
+    worst_case_units = declared_worst_case_units
 
     def __init__(
-        self, config: SystemConfig | None = None, *, partitions: int = 2
+        self, config: SystemConfig | None = None, *, partitions: int = PALP_PARTITIONS
     ) -> None:
         super().__init__(config)
         if partitions < 1:
@@ -75,11 +79,6 @@ class PALPWrite(WriteScheme):
         # stage, so DES replay uses the phase plan (units * t_set).
         self.last_schedule = None
 
-    def worst_case_units(self) -> float:
-        """Serial-plan bound: same queue-admission bound as Tetris."""
-        return float(self.config.units_per_line) + (
-            self.config.data_units_per_line / self.config.K
-        )
 
     # ------------------------------------------------------------------
     def _partitioned_units(

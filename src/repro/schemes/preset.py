@@ -23,8 +23,9 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.core.analysis import TetrisScheduler
+from repro.core.pricing import PRICING
 from repro.pcm.state import LineState
-from repro.schemes.base import WriteOutcome, WriteScheme
+from repro.schemes.base import WriteOutcome, WriteScheme, declared_worst_case_units
 
 __all__ = ["PreSETWrite"]
 
@@ -36,7 +37,8 @@ class PreSETWrite(WriteScheme):
     """Demand writes RESET-only; SETs pre-done in the background."""
 
     name = "preset"
-    requires_read = False
+    requires_read = PRICING[name].requires_read
+    worst_case_units = declared_worst_case_units
 
     def __init__(self, config: SystemConfig | None = None) -> None:
         super().__init__(config)
@@ -49,12 +51,6 @@ class PreSETWrite(WriteScheme):
         self.preset_cells = 0  # background SETs owed (energy/endurance)
         self.last_schedule = None  # most recent demand-write schedule
 
-    def worst_case_units(self) -> float:
-        """All cells zero: N cells x L current per unit; each unit's burst
-        splits into ceil(N*L / budget) sub-slots."""
-        cfg = self.config
-        per_unit = int(np.ceil(cfg.data_unit_bits * cfg.L / cfg.bank_power_budget))
-        return cfg.data_units_per_line * per_unit / cfg.K
 
     def _write_once(self, state: LineState, new_logical: np.ndarray) -> WriteOutcome:
         new_logical = np.asarray(new_logical, dtype=_U64)

@@ -28,11 +28,12 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.core.analysis import TetrisScheduler
+from repro.core.pricing import PRICING
 from repro.obs.runtime import emit_schedule
 from repro.core.read_stage import read_stage
 from repro.core.schedule import TetrisSchedule
 from repro.pcm.state import LineState
-from repro.schemes.base import WriteOutcome, WriteScheme
+from repro.schemes.base import WriteOutcome, WriteScheme, declared_worst_case_units
 from repro.verify.invariants import verify_outcome, verify_schedule
 
 __all__ = ["TetrisWrite"]
@@ -44,7 +45,8 @@ class TetrisWrite(WriteScheme):
     """Content-aware write scheduling; ``units`` is measured, not fixed."""
 
     name = "tetris"
-    requires_read = True
+    requires_read = PRICING[name].requires_read
+    worst_case_units = declared_worst_case_units
 
     def __init__(
         self,
@@ -87,15 +89,6 @@ class TetrisWrite(WriteScheme):
         self.last_schedule: TetrisSchedule | None = None
         self.last_chip_schedules: list[TetrisSchedule] | None = None
 
-    # ------------------------------------------------------------------
-    def worst_case_units(self) -> float:
-        """Upper bound: Tetris never does worse than Three-Stage-Write's
-        phase structure, but for queue-admission purposes we bound it by
-        the conventional count (every unit in its own write unit plus a
-        full set of overflow sub-slots)."""
-        return float(self.config.units_per_line) + (
-            self.config.data_units_per_line / self.config.K
-        )
 
     # ------------------------------------------------------------------
     def _write_once(self, state: LineState, new_logical: np.ndarray) -> WriteOutcome:

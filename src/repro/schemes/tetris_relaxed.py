@@ -9,8 +9,9 @@ paper's operating point, which is itself a result: Algorithm 2's
 hardware simplicity is free.
 
 Registered as ``"tetris_relaxed"``; usable anywhere a scheme name is
-accepted (note the full-system precompute path falls back to per-write
-Python packing for it, so it is slower to price than ``"tetris"``).
+accepted.  ``repro.core.pricing`` prices it per write through the
+generalized packer's count-only entry (no vectorized packer exists for
+the unaligned variant), so it is slower to price than ``"tetris"``.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.core.generalized import BurstClass, GeneralizedScheduler
+from repro.core.pricing import PRICING
 from repro.core.read_stage import read_stage
 from repro.pcm.state import LineState
-from repro.schemes.base import WriteOutcome, WriteScheme
+from repro.schemes.base import WriteOutcome, WriteScheme, declared_worst_case_units
 
 __all__ = ["TetrisRelaxedWrite"]
 
@@ -30,7 +32,8 @@ class TetrisRelaxedWrite(WriteScheme):
     """Earliest-fit, unaligned variant of Tetris Write."""
 
     name = "tetris_relaxed"
-    requires_read = True
+    requires_read = PRICING[name].requires_read
+    worst_case_units = declared_worst_case_units
 
     def __init__(self, config: SystemConfig | None = None) -> None:
         super().__init__(config)
@@ -42,11 +45,6 @@ class TetrisRelaxedWrite(WriteScheme):
         )
         self.last_schedule = None
 
-    def worst_case_units(self) -> float:
-        # Never worse than the aligned scheduler's bound.
-        return float(self.config.units_per_line) + (
-            self.config.data_units_per_line / self.config.K
-        )
 
     def service_units_for_counts(
         self, n_set: np.ndarray, n_reset: np.ndarray

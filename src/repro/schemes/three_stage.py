@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.pricing import PRICING
 from repro.core.read_stage import read_stage
 from repro.pcm.state import LineState
-from repro.schemes.base import WriteOutcome, WriteScheme
+from repro.schemes.base import WriteOutcome, WriteScheme, declared_worst_case_units
 
 __all__ = ["ThreeStageWrite"]
 
@@ -30,11 +31,8 @@ class ThreeStageWrite(WriteScheme):
     """``T = Tread + (1/2K + 1/2L) * (N/M) * Tset``; changed cells only."""
 
     name = "three_stage"
-    requires_read = True
-
-    def worst_case_units(self) -> float:
-        nm = self.config.units_per_line
-        return nm / (2.0 * self.config.K) + nm / (2.0 * self.config.L)
+    requires_read = PRICING[name].requires_read
+    worst_case_units = declared_worst_case_units
 
     def _write_once(self, state: LineState, new_logical: np.ndarray) -> WriteOutcome:
         new_logical = np.asarray(new_logical, dtype=np.uint64)

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.pricing import PRICING
 from repro.pcm.state import LineState
-from repro.schemes.base import WriteOutcome, WriteScheme
+from repro.schemes.base import WriteOutcome, WriteScheme, declared_worst_case_units
 
 __all__ = ["TwoStageWrite"]
 
@@ -33,11 +34,8 @@ class TwoStageWrite(WriteScheme):
     """``T = (1/K + 1/2L) * (N/M) * Tset``; programs every cell."""
 
     name = "two_stage"
-    requires_read = False
-
-    def worst_case_units(self) -> float:
-        nm = self.config.units_per_line
-        return nm / self.config.K + nm / (2.0 * self.config.L)
+    requires_read = PRICING[name].requires_read
+    worst_case_units = declared_worst_case_units
 
     def _write_once(self, state: LineState, new_logical: np.ndarray) -> WriteOutcome:
         new_logical = np.asarray(new_logical, dtype=_U64)

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.pricing import PRICING
 from repro.core.read_stage import cost_aware_flip
 from repro.pcm.state import LineState
-from repro.schemes.base import WriteOutcome, WriteScheme
+from repro.schemes.base import WriteOutcome, WriteScheme, declared_worst_case_units
 
 __all__ = ["WIREWrite"]
 
@@ -37,10 +38,8 @@ class WIREWrite(WriteScheme):
     """``T = Tread + (N/M)/2 * Tset``; polarity chosen by energy, not count."""
 
     name = "wire"
-    requires_read = True
-
-    def worst_case_units(self) -> float:
-        return self.config.units_per_line / 2.0
+    requires_read = PRICING[name].requires_read
+    worst_case_units = declared_worst_case_units
 
     def _write_once(self, state: LineState, new_logical: np.ndarray) -> WriteOutcome:
         new_logical = np.asarray(new_logical, dtype=np.uint64)

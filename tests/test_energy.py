@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.pcm.energy import EnergyModel
+from repro.core.energy import EnergyModel
 
 
 class TestEnergyModel:

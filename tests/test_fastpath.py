@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
@@ -31,9 +30,7 @@ from repro.fastpath import (
     classify,
     select_recheck_indices,
 )
-from repro.fastpath.pricer import READ_ENERGY_PER_LINE
 from repro.parallel import ResultCache, SweepEngine
-from repro.pcm.energy import EnergyModel
 from repro.pcm.state import cell_diff, cell_diff_batch
 from repro.schemes import SCHEME_REGISTRY
 from repro.util import kernelstats
@@ -385,25 +382,6 @@ def test_scalar_kernels_reproduce_a_functional_run(monkeypatch):
     ref = run_fullsystem(trace, "tetris", functional=True)
     for name in ("runtime_ns", "ipc", "mean_write_latency_ns"):
         assert getattr(ref, name) == getattr(vec, name), name  # exact
-
-
-# ----------------------------------------------------------------------
-# Constants pinned to the models they mirror.
-# ----------------------------------------------------------------------
-def test_pricer_constants_match_the_energy_model():
-    # Exact pins (tolerance 0): the pricer hard-codes these mirrors.
-    exact = dict(rel_tol=0.0, abs_tol=0.0)
-    assert math.isclose(
-        READ_ENERGY_PER_LINE, EnergyModel().read_energy_per_line, **exact
-    )
-    cfg = default_config()
-    model = EnergyModel(
-        t_set_ns=cfg.timings.t_set_ns,
-        t_reset_ns=cfg.timings.t_reset_ns,
-        reset_current_ratio=cfg.L,
-    )
-    assert math.isclose(model.e_set, cfg.timings.t_set_ns, **exact)
-    assert math.isclose(model.e_reset, cfg.L * cfg.timings.t_reset_ns, **exact)
 
 
 # ----------------------------------------------------------------------

@@ -88,6 +88,80 @@ class TestGeneralizedScheduler:
         assert sched.completion_ns() <= aligned.service_time_ns(430.0) + 1e-6
 
 
+def _reference_placement(budget: float, demands) -> tuple[list, int]:
+    """Earliest-fit over a numpy occupancy array, burst by burst: the
+    placement rule as first written, kept as a reference for the
+    production list-based loop."""
+    items = []
+    for cls, counts in demands.items():
+        for unit, n in enumerate(counts):
+            while n > 0:
+                chunk = min(n, int(budget // cls.current_per_cell))
+                items.append((cls.duration_subslots,
+                              chunk * cls.current_per_cell, cls, unit, chunk))
+                n -= chunk
+    items.sort(key=lambda it: (-it[0], -it[1]))
+    occ = np.zeros(0)
+    placed = []
+    for duration, current, cls, unit, cells in items:
+        start = next(
+            (s for s in range(occ.size)
+             if np.all(occ[s:s + duration] + current <= budget + 1e-12)),
+            occ.size,
+        )
+        end = start + duration
+        if end > occ.size:
+            occ = np.concatenate([occ, np.zeros(end - occ.size)])
+        occ[start:end] += current
+        placed.append((unit, cls, start, cells))
+    return placed, occ.size
+
+
+@st.composite
+def demands_at_budget(draw):
+    """SLC or MLC demands whose bursts reach past the budget (so they
+    split into budget-sized chunks), with the budget they target."""
+    budget = draw(st.sampled_from([8.0, 16.0, 37.5, 128.0]))
+    if draw(st.booleans()):
+        classes = MLC_LEVEL_CLASSES
+    else:
+        classes = (BurstClass("write1", draw(st.sampled_from([2, 4, 8])), 1.0),
+                   BurstClass("write0", 1, draw(st.sampled_from([1.5, 2.0]))))
+    units = draw(st.integers(min_value=1, max_value=8))
+    cap = int(2 * budget)
+    counts = st.lists(st.integers(min_value=0, max_value=cap),
+                      min_size=units, max_size=units)
+    return budget, {cls: draw(counts) for cls in classes}
+
+
+class TestCountOnlyEntry:
+    @settings(max_examples=150, deadline=None)
+    @given(demands_at_budget())
+    def test_count_matches_schedule_and_reference(self, case):
+        budget, demands = case
+        gs = GeneralizedScheduler(budget, 53.75)
+        sched = gs.schedule(demands)
+        sched.validate()
+        bursts, total = _reference_placement(budget, demands)
+        assert gs.total_subslots(demands) == sched.total_subslots == total
+        assert [
+            (b.unit, b.burst_class, b.start_subslot, b.n_cells)
+            for b in sched.bursts
+        ] == bursts
+
+    def test_split_bursts_are_counted(self):
+        # 300 SET cells at budget 128 split into 128 + 128 + 44; the two
+        # full chunks each saturate the budget, so three write units.
+        gs = GeneralizedScheduler(128.0, 53.75)
+        sched = gs.schedule({WRITE1: [300]})
+        assert [b.n_cells for b in sched.bursts] == [128, 128, 44]
+        assert gs.total_subslots({WRITE1: [300]}) == sched.total_subslots == 24
+
+    def test_budget_below_one_cell_raises(self):
+        with pytest.raises(ValueError):
+            GeneralizedScheduler(1.0, 53.75).total_subslots({WRITE0: [1]})
+
+
 class TestMLCLevelCounts:
     def test_no_change_no_programs(self):
         u = np.array([0xDEAD_BEEF_CAFE_F00D], dtype=np.uint64)

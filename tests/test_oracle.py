@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import PCMTimings, default_config, theoretical_write_units
 from repro.core.analysis import ScheduleError, TetrisScheduler
@@ -137,22 +138,39 @@ class TestEq5AgainstScheduler:
                 assert frac == pytest.approx((sched.subresult % k) / k)
         assert hit_fractional
 
-    def test_relaxed_packer_agrees_with_generalized(self):
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.sampled_from([1, 2, 4, 8, 16]),
+        L=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+        budget=st.integers(min_value=4, max_value=64),
+        data=st.data(),
+    )
+    def test_relaxed_packer_agrees_with_generalized(self, k, L, budget, data):
+        """Both production entries — ``schedule()`` and the count-only
+        ``total_subslots`` — against the oracle's unaligned packer.
+
+        Counts reach twice the budget, so SET and RESET bursts split at
+        it; half-integer ``L`` keeps every current exact in binary, so
+        the residual and occupancy bookkeeping must agree exactly.
+        """
         from repro.core.generalized import BurstClass, GeneralizedScheduler
 
-        point = analytic.OperatingPoint(K=8, L=2.0, budget=16.0)
-        gs = GeneralizedScheduler(16.0, 430.0 / 8)
-        w1 = BurstClass("write1", 8, 1.0)
-        w0 = BurstClass("write0", 1, 2.0)
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            n_set = rng.integers(0, 20, size=8)
-            n_reset = rng.integers(0, 20, size=8)
-            got = gs.schedule({w1: n_set, w0: n_reset}).total_subslots
-            want = analytic.tetris_relaxed_subslots(
-                n_set.tolist(), n_reset.tolist(), point
-            )
-            assert got == want, (n_set, n_reset)
+        units = data.draw(st.integers(min_value=1, max_value=8))
+        counts = st.lists(
+            st.integers(min_value=0, max_value=2 * budget),
+            min_size=units, max_size=units,
+        )
+        n_set, n_reset = data.draw(counts), data.draw(counts)
+        point = analytic.OperatingPoint(K=k, L=L, budget=float(budget))
+        gs = GeneralizedScheduler(float(budget), 430.0 / k)
+        demands = {
+            BurstClass("write1", k, 1.0): n_set,
+            BurstClass("write0", 1, L): n_reset,
+        }
+        sched = gs.schedule(demands)
+        sched.validate()
+        want = analytic.tetris_relaxed_subslots(n_set, n_reset, point)
+        assert gs.total_subslots(demands) == sched.total_subslots == want
 
 
 # ----------------------------------------------------------------------
