@@ -26,13 +26,6 @@ __all__ = ["generate_report"]
 SCHEMES = ("dcw", "flip_n_write", "two_stage", "three_stage", "tetris")
 COMPARED = SCHEMES[1:]
 
-PAPER_AVERAGES = {
-    "read_latency": {"flip_n_write": 0.61, "two_stage": 0.50,
-                     "three_stage": 0.44, "tetris": 0.35},
-    "ipc_improvement": {"flip_n_write": 1.4, "two_stage": 1.6,
-                        "three_stage": 1.8, "tetris": 2.0},
-}
-
 
 def _code(text: str) -> str:
     return f"```\n{text}\n```\n"

@@ -42,11 +42,13 @@ from __future__ import annotations
 import dataclasses
 import os
 import signal as _signal
+import threading
 import time
 import traceback
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,7 +73,12 @@ from repro.parallel.resultcache import (
     code_salt,
     default_cache_dir,
 )
-from repro.parallel.supervisor import RetryPolicy, WorkerSupervisor, WorkerTaskError
+from repro.parallel.supervisor import (
+    RetryPolicy,
+    TaskFailure,
+    WorkerSupervisor,
+    WorkerTaskError,
+)
 from repro.trace.record import Trace
 from repro.trace.workloads import WORKLOAD_NAMES
 from repro.util import kernelstats
@@ -79,6 +86,8 @@ from repro.util import kernelstats
 __all__ = [
     "CellError",
     "CellOutcome",
+    "CellPayload",
+    "CellStore",
     "PlannedCell",
     "SweepCell",
     "SweepCellError",
@@ -89,6 +98,7 @@ __all__ = [
     "default_workers",
     "derive_cell_seeds",
     "execute_cell_payload",
+    "execute_cells",
     "parallel_map",
 ]
 
@@ -177,6 +187,24 @@ class CellOutcome:
     resumed: bool = False              # replayed from the sweep journal
 
 
+class CellPayload(NamedTuple):
+    """What a worker needs to run one cell (picklable).
+
+    ``index`` is the task id (the grid index, or a batch-local one in the
+    service) and never reaches the DES; ``trace=None`` means synthetic.
+    """
+
+    index: int
+    workload: str
+    scheme: str
+    seed: int
+    variant: str
+    requests_per_core: int
+    config_json: str
+    trace: Trace | None
+    lane: str                  # "des" | "fastpath"
+
+
 @dataclass(frozen=True)
 class PlannedCell:
     """One grid cell fully resolved for execution or content addressing.
@@ -190,10 +218,10 @@ class PlannedCell:
 
     index: int
     cell: SweepCell
-    payload: tuple
+    payload: CellPayload
     cache_key: str | None      # None when the engine has no cache
     journal_key: str           # code-salted journal content address
-    lane: str = "des"          # "des" | "fastpath" (payload's last element)
+    lane: str = "des"          # "des" | "fastpath" (same as payload.lane)
     lane_reasons: tuple[str, ...] = ()   # why a cell stayed on the DES lane
 
 
@@ -248,27 +276,7 @@ class SweepStats:
     scalar_kernel_calls: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "cells": self.cells,
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
-            "cache_stores": self.cache_stores,
-            "resumed": self.resumed,
-            "errors": self.errors,
-            "workers": self.workers,
-            "wall_s": self.wall_s,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "worker_deaths": self.worker_deaths,
-            "replacements": self.replacements,
-            "serial_cells": self.serial_cells,
-            "fastpath_cells": self.fastpath_cells,
-            "des_cells": self.des_cells,
-            "recheck_samples": self.recheck_samples,
-            "recheck_divergences": self.recheck_divergences,
-            "vectorized_kernel_calls": self.vectorized_kernel_calls,
-            "scalar_kernel_calls": self.scalar_kernel_calls,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -302,7 +310,7 @@ class SweepResult:
 
 # ----------------------------------------------------------------------
 # The per-cell unit of work.  Everything below must stay top-level and
-# picklable: pool workers import this module and receive plain tuples.
+# picklable: pool workers import this module and receive CellPayloads.
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=4)
 def _config_from_json(config_json: str) -> SystemConfig:
@@ -390,7 +398,23 @@ def _chaos_inject(workload: str, scheme: str) -> None:
             time.sleep(float(seconds))
 
 
-def _run_cell(payload: tuple):
+def _cell_error(
+    payload: CellPayload, failure: TaskFailure, **accounting
+) -> CellError:
+    """The error row of a failed cell, at its payload's grid coordinates."""
+    return CellError(
+        workload=payload.workload,
+        scheme=payload.scheme,
+        seed=payload.seed,
+        variant=payload.variant,
+        error_type=failure.error_type,
+        message=failure.message,
+        traceback_text=failure.traceback_text,
+        **accounting,
+    )
+
+
+def _run_cell(payload: CellPayload):
     """Supervised task: run one cell, returning ``(idx, row | CellError)``.
 
     The broad except is the structured-failure boundary: the exception is
@@ -398,40 +422,29 @@ def _run_cell(payload: tuple):
     and returned to the parent, so one poisoned cell cannot kill the
     whole grid.
     """
-    (
-        idx,
-        workload,
-        scheme,
-        seed,
-        variant,
-        requests_per_core,
-        config_json,
-        trace,
-        lane,
-    ) = payload
+    workload, scheme = payload.workload, payload.scheme
     try:
         _chaos_inject(workload, scheme)
-        config = _config_from_json(config_json)
+        config = _config_from_json(payload.config_json)
+        trace = payload.trace
         if trace is None:
             trace = _trace_for(
-                workload, requests_per_core, config.cpu.num_cores, seed
+                workload, payload.requests_per_core, config.cpu.num_cores,
+                payload.seed,
             )
-        if lane == "fastpath":
-            return idx, _execute_cell_fastpath(trace, workload, scheme, config)
-        return idx, _execute_cell(trace, workload, scheme, config)
+        if payload.lane == "fastpath":
+            return payload.index, _execute_cell_fastpath(
+                trace, workload, scheme, config
+            )
+        return payload.index, _execute_cell(trace, workload, scheme, config)
     except Exception as exc:
-        return idx, CellError(
-            workload=workload,
-            scheme=scheme,
-            seed=seed,
-            variant=variant,
-            error_type=type(exc).__name__,
-            message=str(exc),
-            traceback_text=traceback.format_exc(),
+        return payload.index, _cell_error(
+            payload,
+            TaskFailure(type(exc).__name__, str(exc), traceback.format_exc()),
         )
 
 
-def execute_cell_payload(payload: tuple):
+def execute_cell_payload(payload: CellPayload):
     """Execute one :class:`PlannedCell` payload -> ``(idx, row | CellError)``.
 
     Public, picklable entry point for external executors (the sweep
@@ -445,6 +458,147 @@ def execute_cell_payload(payload: tuple):
 def _cell_retry_signal(value) -> str | None:
     """Supervisor value classifier: CellError rows are retryable failures."""
     return "exception" if isinstance(value[1], CellError) else None
+
+
+def execute_cells(
+    task_fn,
+    payloads: list[CellPayload],
+    *,
+    workers: int,
+    retry: RetryPolicy,
+    deadline_s: float | None = None,
+    name: str = "sweep",
+    counts: dict | None = None,
+):
+    """Yield ``(index, row | CellError)`` for every payload.
+
+    The one cell executor of :meth:`SweepEngine.run` and the sweep
+    service.  One worker (or payload) runs ``task_fn`` inline on the same
+    code; otherwise a :class:`WorkerSupervisor` retries, quarantines or
+    serially drains hung / killed / crashing cells per
+    ``docs/RESILIENCE.md``, and error rows carry its ``attempts`` and
+    ``last_signal``.  ``deadline_s=None`` scales each cell's deadline by
+    its trace size (:meth:`RetryPolicy.deadline_s`); ``0`` disables it.
+    ``counts`` receives the supervisor's counters at the end.  Payload
+    indexes are the task ids, so they must be unique.
+    """
+    if not payloads:
+        return
+    workers = min(workers, len(payloads))
+    if workers <= 1:
+        for payload in payloads:
+            yield task_fn(payload)
+        return
+
+    def deadline_for(payload: CellPayload) -> float | None:
+        if deadline_s is None:
+            return retry.deadline_s(payload.requests_per_core)
+        return deadline_s if deadline_s > 0 else None
+
+    supervisor = WorkerSupervisor(
+        task_fn,
+        workers=workers,
+        policy=retry,
+        deadline_for=deadline_for,
+        retry_value_signal=_cell_retry_signal,
+        name=name,
+    )
+    by_index = {p.index: p for p in payloads}
+    for report in supervisor.run((p.index, p) for p in payloads):
+        if report.failure is not None:
+            # The cell never produced a value: build its error row from
+            # the payload coordinates.
+            yield report.task_id, _cell_error(
+                by_index[report.task_id],
+                report.failure,
+                attempts=report.attempts,
+                last_signal=report.last_signal,
+            )
+            continue
+        idx, result = report.value
+        if isinstance(result, CellError) and (
+            report.attempts > 1 or report.last_signal
+        ):
+            result = dataclasses.replace(
+                result,
+                attempts=report.attempts,
+                last_signal=report.last_signal or "exception",
+            )
+        yield idx, result
+    if counts is not None:
+        counts.update(supervisor.counts())
+
+
+class CellStore:
+    """Result cache + sweep journal of planned cells: one lookup, one record.
+
+    Shared by :meth:`SweepEngine.run` and the sweep service.  ``rows`` is
+    the in-memory journal view that lookups read first and journal writes
+    extend (``None``: no view).  Appends hold a lock, because the service
+    looks cells up and records them on different threads.
+    """
+
+    def __init__(
+        self,
+        cache: ResultCache | None,
+        journal: SweepJournal | None,
+        rows: dict[str, dict] | None = None,
+    ) -> None:
+        self.cache = cache
+        self.journal = journal
+        self.rows = rows
+        self.salt = cache.salt if cache is not None else code_salt()
+        self._lock = threading.Lock()
+
+    def meta(self, payload: CellPayload) -> dict:
+        """Cache and journal metadata of one cell (the salt stamp lets a
+        resume tell stale sources from a different grid)."""
+        return {
+            "scheme": payload.scheme,
+            "workload": payload.workload,
+            "seed": payload.seed,
+            "variant": payload.variant,
+            "lane": payload.lane,
+            "salt": self.salt,
+        }
+
+    def lookup(
+        self, cache_key: str | None, journal_key: str | None,
+        payload: CellPayload,
+    ) -> tuple[dict | None, str]:
+        """``(row, "journal" | "cache")`` of a finished cell, or ``(None, "")``.
+
+        A cache hit is journaled, so a restart resumes from the journal
+        alone; ``journal_key=None`` (not a grid cell) skips the journal.
+        """
+        if self.rows is not None and journal_key in self.rows:
+            return self.rows[journal_key], "journal"
+        if self.cache is not None and cache_key is not None:
+            row = self.cache.get(cache_key)
+            if row is not None:
+                self._journal(journal_key, payload, row)
+                return row, "cache"
+        return None, ""
+
+    def record(
+        self, cache_key: str | None, journal_key: str | None,
+        payload: CellPayload, row: dict,
+    ) -> None:
+        """Store a freshly executed row: cache put, then journal append."""
+        if self.cache is not None and cache_key is not None:
+            self.cache.put(cache_key, row, meta=self.meta(payload))
+        self._journal(journal_key, payload, row)
+
+    def _journal(
+        self, key: str | None, payload: CellPayload, row: dict
+    ) -> None:
+        if key is None:
+            return
+        if self.rows is not None:
+            self.rows[key] = row
+        if self.journal is not None:
+            with self._lock:
+                self.journal.append(key, row, meta=self.meta(payload))
 
 
 # ----------------------------------------------------------------------
@@ -555,7 +709,6 @@ class SweepEngine:
         self.certificate_path = (
             str(certificate_path) if certificate_path is not None else None
         )
-        self.supervisor: WorkerSupervisor | None = None  # last run's, if any
 
     @staticmethod
     def _resolve_cache(cache, cache_dir) -> ResultCache | None:
@@ -659,23 +812,6 @@ class SweepEngine:
             lane=lane,
         )
 
-    def _journal_append(self, key: str, cell: SweepCell, row_dict: dict) -> None:
-        if self.journal is not None:
-            self.journal.append(
-                key,
-                row_dict,
-                meta={
-                    "scheme": cell.scheme,
-                    "workload": cell.workload,
-                    "seed": cell.seed,
-                    "variant": cell.variant,
-                    # Stamping the salt lets a later resume distinguish
-                    # "journal from other sources" (StaleJournalError)
-                    # from "journal for a different grid".
-                    "salt": self._salt(),
-                },
-            )
-
     # ------------------------------------------------------------------
     def plan(
         self,
@@ -703,7 +839,7 @@ class SweepEngine:
                 PlannedCell(
                     index=idx,
                     cell=cell,
-                    payload=(
+                    payload=CellPayload(
                         idx,
                         cell.workload,
                         cell.scheme,
@@ -741,39 +877,31 @@ class SweepEngine:
 
         start = time.perf_counter()
         kernels_before = kernelstats.snapshot()
-        self.supervisor = None
         planned = self.plan(tuple(schemes), tuple(workloads), seeds=seeds)
-        cells = [pc.cell for pc in planned]
-        journaled: dict[str, dict] = {}
+        journaled: dict[str, dict] | None = None
         if resume:
             if self.journal is None:
                 raise ValueError("resume=True requires a journal")
             journaled = self.journal.load()
+        store = CellStore(self.cache, self.journal, journaled)
 
         outcomes: dict[int, CellOutcome] = {}
-        pending: list[tuple] = []       # worker payloads for cache misses
-        pending_keys: dict[int, tuple[str | None, str | None, str]] = {}
+        pending: list[CellPayload] = []     # worker payloads for misses
         resumed = 0
         for pc in planned:
-            idx, cell, jkey = pc.index, pc.cell, pc.journal_key
-            if resume and jkey in journaled:
-                outcomes[idx] = CellOutcome(
-                    cell,
-                    row=ExperimentResult(**journaled[jkey]),
-                    resumed=True,
-                )
-                resumed += 1
+            row_dict, source = store.lookup(
+                pc.cache_key, pc.journal_key, pc.payload
+            )
+            if row_dict is None:
+                pending.append(pc.payload)
                 continue
-            if pc.cache_key is not None:
-                row_dict = self.cache.get(pc.cache_key)
-                if row_dict is not None:
-                    outcomes[idx] = CellOutcome(
-                        cell, row=ExperimentResult(**row_dict), cached=True
-                    )
-                    self._journal_append(jkey, cell, row_dict)
-                    continue
-            pending_keys[idx] = (pc.cache_key, jkey, pc.lane)
-            pending.append(pc.payload)
+            outcomes[pc.index] = CellOutcome(
+                pc.cell,
+                row=ExperimentResult(**row_dict),
+                cached=source == "cache",
+                resumed=source == "journal",
+            )
+            resumed += source == "journal"
 
         if (
             resume
@@ -793,41 +921,34 @@ class SweepEngine:
                 f"sources hash to {self._salt()}"
             )
 
-        for idx, result in self._execute(pending):
-            cell = cells[idx]
+        counts: dict[str, int] = {}     # supervisor accounting, if any
+        for idx, result in execute_cells(
+            _run_cell,
+            pending,
+            workers=self.workers,
+            retry=self.retry,
+            deadline_s=self.cell_deadline_s,
+            counts=counts,
+        ):
+            pc = planned[idx]
             if isinstance(result, CellError):
-                outcomes[idx] = CellOutcome(cell, error=result)
-            else:
-                outcomes[idx] = CellOutcome(cell, row=result)
-                key, jkey, lane = pending_keys[idx]
-                row_dict = dataclasses.asdict(result)
-                if self.cache is not None and key is not None:
-                    self.cache.put(
-                        key,
-                        row_dict,
-                        meta={
-                            "scheme": cell.scheme,
-                            "workload": cell.workload,
-                            "seed": cell.seed,
-                            "variant": cell.variant,
-                            "lane": lane,
-                            "salt": self.cache.salt,
-                        },
-                    )
-                if jkey is not None:
-                    self._journal_append(jkey, cell, row_dict)
+                outcomes[idx] = CellOutcome(pc.cell, error=result)
+                continue
+            outcomes[idx] = CellOutcome(pc.cell, row=result)
+            store.record(
+                pc.cache_key, pc.journal_key, pc.payload,
+                dataclasses.asdict(result),
+            )
 
-        recheck_records = self._recheck(planned, outcomes)
+        recheck_records = self._recheck(planned, outcomes, store)
         certificate = self._certificate(planned, outcomes, recheck_records)
         if self.certificate_path:
             write_certificate(self.certificate_path, certificate)
 
-        ordered = [outcomes[i] for i in range(len(cells))]
-        sup = self.supervisor
-        counts = sup.counts() if sup is not None else {}
+        ordered = [outcomes[pc.index] for pc in planned]
         kernels_after = kernelstats.snapshot()
         stats = SweepStats(
-            cells=len(cells),
+            cells=len(planned),
             executed=len(pending),
             cache_hits=self.cache.stats.hits if self.cache else 0,
             cache_stores=self.cache.stats.stores if self.cache else 0,
@@ -857,7 +978,10 @@ class SweepEngine:
 
     # ------------------------------------------------------------------
     def _recheck(
-        self, planned: list[PlannedCell], outcomes: dict[int, CellOutcome]
+        self,
+        planned: list[PlannedCell],
+        outcomes: dict[int, CellOutcome],
+        store: CellStore,
     ) -> list[dict]:
         """Differentially re-run a seeded sample of fastpath cells on DES.
 
@@ -881,14 +1005,14 @@ class SweepEngine:
         by_index = {pc.index: pc for pc in planned}
 
         def des_runner(index: int) -> dict:
+            # Recheck rows are not grid cells: cached, never journaled.
             pc = by_index[index]
-            config_json = pc.payload[6]
-            des_key = self._cache_key(pc.cell, config_json, "des")
-            if des_key is not None:
-                cached = self.cache.get(des_key)
-                if cached is not None:
-                    return cached
-            _, result = _run_cell(pc.payload[:-1] + ("des",))
+            payload = pc.payload._replace(lane="des")
+            des_key = self._cache_key(pc.cell, payload.config_json, "des")
+            row_dict, _ = store.lookup(des_key, None, payload)
+            if row_dict is not None:
+                return row_dict
+            _, result = _run_cell(payload)
             if isinstance(result, CellError):
                 raise RuntimeError(
                     "differential recheck could not execute the DES lane "
@@ -896,19 +1020,7 @@ class SweepEngine:
                     f"{result.format()}"
                 )
             row_dict = dataclasses.asdict(result)
-            if des_key is not None:
-                self.cache.put(
-                    des_key,
-                    row_dict,
-                    meta={
-                        "scheme": pc.cell.scheme,
-                        "workload": pc.cell.workload,
-                        "seed": pc.cell.seed,
-                        "variant": pc.cell.variant,
-                        "lane": "des",
-                        "salt": self.cache.salt,
-                    },
-                )
+            store.record(des_key, None, payload, row_dict)
             return row_dict
 
         samples = [
@@ -959,68 +1071,6 @@ class SweepEngine:
             cells=cert_cells,
             rechecks=recheck_records,
         )
-
-    # ------------------------------------------------------------------
-    def _cell_deadline(self) -> float | None:
-        """Effective per-cell deadline (seconds), or None when disabled."""
-        if self.cell_deadline_s is not None:
-            return self.cell_deadline_s if self.cell_deadline_s > 0 else None
-        return self.retry.deadline_s(self.requests_per_core)
-
-    def _execute(self, payloads: list[tuple]):
-        """Yield ``(idx, row-or-error)`` for every payload.
-
-        Serial mode runs the exact same ``_run_cell`` per payload, so
-        parallel and serial cells traverse identical code.  Parallel
-        mode hands the payloads to a :class:`WorkerSupervisor`: idle
-        workers steal the next cell (payloads follow the grid's
-        workload-major order, so a worker's trace cache keeps hitting),
-        and hung / killed / crashing cells are retried, quarantined, or
-        drained serially per ``docs/RESILIENCE.md``.
-        """
-        if not payloads:
-            return
-        workers = min(self.workers, len(payloads))
-        if workers <= 1:
-            for payload in payloads:
-                yield _run_cell(payload)
-            return
-        deadline_s = self._cell_deadline()
-        self.supervisor = WorkerSupervisor(
-            _run_cell,
-            workers=workers,
-            policy=self.retry,
-            deadline_for=(lambda payload: deadline_s),
-            retry_value_signal=_cell_retry_signal,
-            name="sweep",
-        )
-        for report in self.supervisor.run((p[0], p) for p in payloads):
-            if report.failure is not None:
-                # The cell never produced a value: synthesize the error
-                # row from the payload coordinates.
-                payload = next(p for p in payloads if p[0] == report.task_id)
-                yield report.task_id, CellError(
-                    workload=payload[1],
-                    scheme=payload[2],
-                    seed=payload[3],
-                    variant=payload[4],
-                    error_type=report.failure.error_type,
-                    message=report.failure.message,
-                    traceback_text=report.failure.traceback_text,
-                    attempts=report.attempts,
-                    last_signal=report.last_signal,
-                )
-                continue
-            idx, result = report.value
-            if isinstance(result, CellError) and (
-                report.attempts > 1 or report.last_signal
-            ):
-                result = dataclasses.replace(
-                    result,
-                    attempts=report.attempts,
-                    last_signal=report.last_signal or "exception",
-                )
-            yield idx, result
 
 
 # ----------------------------------------------------------------------

@@ -22,29 +22,32 @@ The scheduler owns the path from "job accepted" to "row delivered":
   (enforced by simlint SL015).
 
 Execution is batched: each round selects up to ``workers`` cells
-(across tenants, in DRR order) and runs them through the exact same
-code a serial :meth:`SweepEngine.run` uses — either inline
-:func:`execute_cell_payload` (``workers=1``) or a supervised
-:class:`WorkerSupervisor` pool — so rows are byte-identical to a
-serial run of the same grid.
+(across tenants, in DRR order) and hands them to the engine's own
+executor (:func:`~repro.parallel.engine.execute_cells`) and
+:class:`~repro.parallel.engine.CellStore` — the code a
+:meth:`SweepEngine.run` uses — so rows are byte-identical to a serial
+run of the same grid, and per-cell deadlines, retries and attempt
+accounting match the engine's.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 
 from repro.obs import MetricRegistry
 from repro.parallel.engine import (
     CellError,
+    CellPayload,
+    CellStore,
     execute_cell_payload,
+    execute_cells,
 )
 from repro.parallel.journal import SweepJournal
-from repro.parallel.resultcache import ResultCache, code_salt
-from repro.parallel.supervisor import RetryPolicy, WorkerSupervisor
+from repro.parallel.resultcache import ResultCache
+from repro.parallel.supervisor import RetryPolicy
 from repro.service.jobs import Job
 from repro.service.protocol import E_ADMISSION, ProtocolError
 
@@ -61,7 +64,7 @@ class CellWork:
 
     key: str                   # journal content address (single-flight key)
     cache_key: str | None
-    payload: tuple             # engine worker payload (PlannedCell.payload)
+    payload: CellPayload       # engine worker payload (PlannedCell.payload)
     tenant: str                # owning tenant for queue accounting
     waiters: list[tuple[Job, int]] = field(default_factory=list)
 
@@ -80,7 +83,7 @@ class Scheduler:
 
     All mutable scheduling state (tenant queues, the in-flight map, job
     bookkeeping) is touched only from the event loop; executor threads
-    see immutable payloads and the thread-safe journal/cache appenders.
+    see immutable payloads and the thread-safe :class:`CellStore`.
     """
 
     def __init__(
@@ -97,10 +100,10 @@ class Scheduler:
             raise ValueError("workers must be >= 1")
         if quantum <= 0:
             raise ValueError("quantum must be > 0")
-        self.cache = cache
-        self.cell_journal = cell_journal
-        self.journal_rows: dict[str, dict] = (
-            cell_journal.load() if cell_journal is not None else {}
+        self.store = CellStore(
+            cache,
+            cell_journal,
+            cell_journal.load() if cell_journal is not None else {},
         )
         self.workers = int(workers)
         self.max_queued_cells = int(max_queued_cells)
@@ -118,9 +121,7 @@ class Scheduler:
         self._stopping = False
         self._idle = asyncio.Event()
         self._idle.set()
-        self._journal_lock = threading.Lock()
         self._ema_cell_s: float | None = None
-        self._salt = cache.salt if cache is not None else code_salt()
         #: server hook fired once per job reaching a terminal state
         self.on_job_complete = None
 
@@ -136,15 +137,10 @@ class Scheduler:
         copied into the cell journal so a later restart resumes from
         the journal alone.
         """
-        out = []
-        for pc in planned:
-            row = self.journal_rows.get(pc.journal_key)
-            if row is None and self.cache is not None and pc.cache_key:
-                row = self.cache.get(pc.cache_key)
-                if row is not None:
-                    self._journal_row(pc.journal_key, pc.payload, row)
-            out.append((pc, row))
-        return out
+        return [
+            (pc, self.store.lookup(pc.cache_key, pc.journal_key, pc.payload)[0])
+            for pc in planned
+        ]
 
     def queued_cells(self, tenant: str) -> int:
         ts = self.tenants.get(tenant)
@@ -166,7 +162,7 @@ class Scheduler:
             if row is None:
                 # A completion may have landed between the resolve
                 # phase and now; the in-memory journal view is current.
-                row = self.journal_rows.get(pc.journal_key)
+                row = self.store.rows.get(pc.journal_key)
             if row is not None:
                 immediate.append((pc, row))
             else:
@@ -307,39 +303,16 @@ class Scheduler:
         unique supervisor task IDs; the index never reaches the DES, so
         rows stay byte-identical to a serial run.
         """
-        payloads = [(bi,) + w.payload[1:] for bi, w in enumerate(batch)]
-        values: dict[int, object] = {}
-        if self.workers <= 1 or len(payloads) == 1:
-            for payload in payloads:
-                bi, value = execute_cell_payload(payload)
-                values[bi] = value
-        else:
-            supervisor = WorkerSupervisor(
+        payloads = [w.payload._replace(index=bi) for bi, w in enumerate(batch)]
+        values = dict(
+            execute_cells(
                 execute_cell_payload,
-                workers=min(self.workers, len(payloads)),
-                policy=self.retry,
-                retry_value_signal=(
-                    lambda v: "exception" if isinstance(v[1], CellError) else None
-                ),
+                payloads,
+                workers=self.workers,
+                retry=self.retry,
                 name="service",
             )
-            for report in supervisor.run((p[0], p) for p in payloads):
-                if report.failure is not None:
-                    payload = payloads[report.task_id]
-                    values[report.task_id] = CellError(
-                        workload=payload[1],
-                        scheme=payload[2],
-                        seed=payload[3],
-                        variant=payload[4],
-                        error_type=report.failure.error_type,
-                        message=report.failure.message,
-                        traceback_text=report.failure.traceback_text,
-                        attempts=report.attempts,
-                        last_signal=report.last_signal,
-                    )
-                else:
-                    bi, value = report.value
-                    values[bi] = value
+        )
         out: list[tuple] = []
         for bi, work in enumerate(batch):
             value = values[bi]
@@ -347,50 +320,17 @@ class Scheduler:
                 out.append((work, "error", dataclasses.asdict(value)))
                 continue
             row = dataclasses.asdict(value)
-            if self.cache is not None and work.cache_key is not None:
-                self.cache.put(
-                    work.cache_key,
-                    row,
-                    meta={
-                        "scheme": work.payload[2],
-                        "workload": work.payload[1],
-                        "seed": work.payload[3],
-                        "variant": work.payload[4],
-                        "lane": work.payload[8],
-                        "salt": self._salt,
-                    },
-                )
-            self._journal_row(work.key, work.payload, row)
+            self.store.record(work.cache_key, work.key, work.payload, row)
             out.append((work, "row", row))
         return out
-
-    def _journal_row(self, key: str, payload: tuple, row: dict) -> None:
-        """Thread-safe append of a completed cell to the shared journal."""
-        self.journal_rows[key] = row
-        if self.cell_journal is None:
-            return
-        with self._journal_lock:
-            self.cell_journal.append(
-                key,
-                row,
-                meta={
-                    "scheme": payload[2],
-                    "workload": payload[1],
-                    "seed": payload[3],
-                    "variant": payload[4],
-                    "lane": payload[8],
-                    "salt": self._salt,
-                },
-            )
 
     # ------------------------------------------------------------------
     # Completion routing (event loop).
     # ------------------------------------------------------------------
     def _complete(self, work: CellWork, kind: str, outcome: dict) -> None:
         self.inflight.pop(work.key, None)
-        lane = work.payload[8]
         self._m.counter(
-            "cells_fastpath" if lane == "fastpath" else "cells_des"
+            "cells_fastpath" if work.payload.lane == "fastpath" else "cells_des"
         ).inc(1)
         if kind == "error":
             self._m.counter("cells_failed").inc(1)

@@ -93,7 +93,7 @@ class SweepService:
 
     @property
     def salt(self) -> str:
-        return self.scheduler._salt
+        return self.scheduler.store.salt
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -222,8 +222,11 @@ class SweepService:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
-                return  # peer vanished while closing: already closed
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                # Peer vanished, or teardown cancelled us mid-close: the
+                # transport is closing either way (same reasoning as the
+                # cancellation handler above).
+                return
 
     async def _send(self, writer: asyncio.StreamWriter, frame: dict) -> None:
         writer.write(encode_frame(frame))

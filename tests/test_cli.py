@@ -137,6 +137,7 @@ class TestServiceCommands:
              "--endpoint", f"unix:{sock}",
              "--state-dir", str(tmp_path / "state"), "--no-fsync"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env,
         )
         try:
             deadline = time.monotonic() + 30

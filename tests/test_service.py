@@ -19,12 +19,13 @@ The load-bearing guarantees (ISSUE 8):
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import time
 
 import pytest
 
-from repro.parallel import ResultCache, SweepEngine
+from repro.parallel import ResultCache, RetryPolicy, SweepEngine
 from repro.service import GridSpec, ProtocolError, SweepService, job_id_for
 from repro.service.jobs import Job, JobStore
 from repro.service.protocol import (
@@ -169,6 +170,87 @@ def test_workers_gt1_supervised_batch_byte_identical(tmp_path):
     status = asyncio.run(run())
     assert status["state"] == "done" and not status["errors"]
     assert row_bytes(status["rows"]) == serial_row_bytes(GRID_A)
+
+
+# ----------------------------------------------------------------------
+# Resilience parity: service cells fail exactly like SweepEngine cells.
+# ----------------------------------------------------------------------
+PARITY_RETRY = RetryPolicy(
+    max_retries=1, backoff_base_s=0.01, poll_interval_s=0.02,
+    deadline_base_s=1.0, deadline_per_request_s=0.0,
+)
+GRID_PARITY = {
+    "schemes": ["dcw", "tetris"],
+    "workloads": ["dedup"],
+    "requests_per_core": REQUESTS,
+}
+
+
+def parity_run(tmp_path) -> tuple[dict, list[dict]]:
+    """GRID_PARITY's final status from a ``workers=2`` service, and the
+    error rows of a ``workers=2`` engine run under the same policy."""
+
+    async def run():
+        svc = await make_service(tmp_path, workers=2, retry=PARITY_RETRY)
+        try:
+            reply = await svc._dispatch(submit_frame("alice", GRID_PARITY), None)
+            # Bounded: a service that ignores the deadline fails the
+            # test instead of hanging it.
+            await asyncio.wait_for(svc.scheduler.wait_idle(), 60)
+            return await svc._dispatch(
+                request_frame("status", job=reply["job"]), None
+            )
+        finally:
+            await svc.shutdown()
+
+    status = asyncio.run(run())
+    spec = GridSpec.from_dict(GRID_PARITY)
+    res = SweepEngine(
+        requests_per_core=spec.requests_per_core,
+        root_seed=spec.seed,
+        workers=2,
+        cache=False,
+        retry=PARITY_RETRY,
+    ).run(spec.schemes, spec.workloads)
+    return status, [dataclasses.asdict(e) for e in res.errors]
+
+
+def test_service_times_out_a_hung_cell_like_the_engine(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPRO_CHAOS_KILL_ONCE", raising=False)
+    monkeypatch.setenv("REPRO_CHAOS_HANG", "dedup:tetris:5")
+    status, engine_errors = parity_run(tmp_path)
+    assert status["state"] == "done" and len(status["rows"]) == 1
+    [err] = status["errors"]
+    assert (err["workload"], err["scheme"]) == ("dedup", "tetris")
+    assert err["error_type"] == "CellTimeout"
+    assert err["last_signal"] == "timeout"
+    assert err["attempts"] == PARITY_RETRY.max_retries + 1
+    assert [err] == engine_errors
+
+
+def test_service_reports_retried_cell_errors_like_the_engine(
+    tmp_path, monkeypatch
+):
+    import repro.parallel.engine as engine_mod
+
+    monkeypatch.delenv("REPRO_CHAOS_KILL_ONCE", raising=False)
+    monkeypatch.delenv("REPRO_CHAOS_HANG", raising=False)
+    execute = engine_mod._execute_cell
+
+    def poisoned(trace, workload, scheme, config):
+        if scheme == "tetris":
+            raise RuntimeError("poisoned cell")
+        return execute(trace, workload, scheme, config)
+
+    # Workers fork after the patch, so every attempt raises.
+    monkeypatch.setattr(engine_mod, "_execute_cell", poisoned)
+    status, engine_errors = parity_run(tmp_path)
+    assert status["state"] == "done" and len(status["rows"]) == 1
+    [err] = status["errors"]
+    assert err["error_type"] == "RuntimeError"
+    assert err["last_signal"] == "exception"
+    assert err["attempts"] == PARITY_RETRY.max_retries + 1
+    assert [err] == engine_errors
 
 
 # ----------------------------------------------------------------------
