@@ -146,11 +146,13 @@ def pack_batch(
     if allow_split:
         in0 = _split_demand(n_reset.astype(np.float64), power_budget, L)
     in0 = np.sort(in0, axis=1)[:, ::-1]
-    U1 = wu_used.shape[1]
     U0 = in0.shape[1]
     # Residual occupancy of the result*K interspace sub-slots: slot s of
     # a row belongs to write unit s // K and is valid when s < result*K.
-    occ = np.repeat(wu_used, K, axis=1)  # (W, U1*K)
+    # Units past the largest result hold no valid slot in any row, so
+    # they are left out (at least one unit, so argmax has a column).
+    U1 = max(int(result.max(initial=0)), 1)
+    occ = np.repeat(wu_used[:, :U1], K, axis=1)  # (W, U1*K)
     slot_idx = np.arange(U1 * K)
     valid = slot_idx[None, :] < (result[:, None] * K)
 

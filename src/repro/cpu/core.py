@@ -71,8 +71,14 @@ class TraceCore:
         # Plain-list columns: the event loop reads one field per event,
         # and indexing a list is far cheaper than a structured record.
         self._gaps: list[int] = records["gap"].tolist()
+        # Per-record execution delay before the issue, in the same
+        # operation order as computing it at the event.
+        self._delays: list[float] = [
+            gap * cpu.base_cpi * cpu.cycle_ns for gap in self._gaps
+        ]
         self._is_write: list[bool] = (records["op"] == OP_WRITE).tolist()
         self._lines: list[int] = records["line"].tolist()
+        self._banks: list[int] = (records["line"] % controller.num_banks).tolist()
         self._write_idx: list[int] = write_indices.tolist()
         self.controller = controller
         self.cpu = cpu
@@ -101,22 +107,19 @@ class TraceCore:
 
     # ------------------------------------------------------------------
     def _execute_gap(self) -> None:
-        gap = self._gaps[self._pc]
-        delay = gap * self.cpu.base_cpi * self.cpu.cycle_ns
-        self.sim.schedule(delay, self._issue)
+        self.sim.schedule(self._delays[self._pc], self._issue)
 
     def _issue(self) -> None:
         pc = self._pc
         self.stats.instructions += self._gaps[pc]
         kind = ReqKind.WRITE if self._is_write[pc] else ReqKind.READ
         self._req_seq += 1
-        line = self._lines[pc]
         req = MemRequest(
             req_id=(self.core_id << 32) | self._req_seq,
             kind=kind,
             core=self.core_id,
-            line=line,
-            bank=line % self.controller.num_banks,
+            line=self._lines[pc],
+            bank=self._banks[pc],
             write_idx=self._write_idx[pc],
         )
         if kind is ReqKind.READ:

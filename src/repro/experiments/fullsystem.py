@@ -71,6 +71,8 @@ class PrecomputedServiceModel:
     def __init__(self, table: WriteServiceTable, config: SystemConfig) -> None:
         self.table = table
         self.t_read = config.timings.t_read_ns
+        # Python floats, built once: the DES prices one write per lookup.
+        self._service_ns: list[float] = table.service_ns.tolist()
 
     def read_ns(self, req: MemRequest) -> float:
         return self.t_read
@@ -78,7 +80,7 @@ class PrecomputedServiceModel:
     def write_ns(self, req: MemRequest) -> float:
         if req.write_idx < 0:
             raise ValueError(f"write request without a write index: {req}")
-        return float(self.table.service_ns[req.write_idx])
+        return self._service_ns[req.write_idx]
 
     def predict_write_ns(self, req: MemRequest) -> float:
         """Side-effect-free prediction (enables the SJF drain order)."""

@@ -39,6 +39,8 @@ against the oracle's independent closed forms.
 from __future__ import annotations
 
 import heapq
+import math
+import weakref
 from collections import deque
 
 import numpy as np
@@ -88,8 +90,15 @@ class _Core:
 
     ``issue``/``finish`` are the record's free-run times; the live time
     of record ``k`` is ``issue[k] + D`` where ``D`` is the core's
-    accumulated delay.  Lists (not arrays) because the window replay
-    touches single elements on its hot path.
+    accumulated delay.  ``next_w[k]`` is the first write record at or
+    after ``k`` (``n`` if none; ``k`` runs to ``n`` inclusive).  The
+    reads whose line some write of the trace targets are the only ones
+    that can ever be forwarded: ``fwd_lines`` lists their lines in
+    order, and ``fwd_at[k]`` counts them before record ``k``.  Lists
+    (not arrays) because the window replay touches single elements on
+    its hot path.  The lists are shared between cells of one trace
+    (:class:`_LastTraceMemo`) and only read; ``D``, ``k`` and
+    ``blocked`` are this cell's state.
     """
 
     __slots__ = (
@@ -99,6 +108,9 @@ class _Core:
         "line",
         "bank",
         "widx",
+        "next_w",
+        "fwd_at",
+        "fwd_lines",
         "n",
         "D",
         "k",
@@ -106,24 +118,106 @@ class _Core:
         "blocked",
     )
 
-    def __init__(self, r, widx_all, cycle, t_read, num_banks):
-        gap_ns = r["gap"].astype(np.float64) * cycle
-        is_rd = r["op"] != OP_WRITE
-        cost = gap_ns + np.where(is_rd, t_read, 0.0)
-        finish = np.cumsum(cost)
-        issue = finish - np.where(is_rd, t_read, 0.0)
-        line = r["line"].astype(np.int64)
-        self.issue = issue.tolist()
-        self.finish = finish.tolist()
-        self.is_rd = is_rd.tolist()
-        self.line = line.tolist()
-        self.bank = (line % num_banks).tolist()
-        self.widx = widx_all.tolist()
-        self.n = len(r)
+    def __init__(self, columns):
+        (
+            self.issue,
+            self.finish,
+            self.is_rd,
+            self.line,
+            self.bank,
+            self.widx,
+            self.next_w,
+            self.fwd_at,
+            self.fwd_lines,
+            self.instr,
+        ) = columns
+        self.n = len(self.is_rd)
         self.D = 0.0
         self.k = 0
-        self.instr = int(r["gap"].sum(dtype=np.int64))
         self.blocked = False
+
+
+def _free_run_columns(trace: Trace, cycle, t_read, num_banks, num_cores):
+    """The read-only :class:`_Core` columns of every core id in
+    ``range(num_cores)``.
+
+    The trace is stably sorted by core once, so each core's records are
+    a contiguous slice in trace order; the element-wise columns are
+    computed and converted to lists once for the whole trace.  Only the
+    running sums and the next-write index are per core.
+    """
+    recs = trace.records
+    is_write_all = recs["op"] == OP_WRITE
+    write_ord_all = np.where(is_write_all, np.cumsum(is_write_all) - 1, -1)
+    core = recs["core"]
+    order = np.argsort(core, kind="stable")
+    bounds = np.searchsorted(core[order], np.arange(num_cores + 1)).tolist()
+    is_wr = is_write_all[order]
+    is_rd = ~is_wr
+    read_ns = np.where(is_rd, t_read, 0.0)
+    gap = recs["gap"][order]
+    cost = gap.astype(np.float64) * cycle + read_ns
+    line = recs["line"][order].astype(np.int64)
+    fwd = is_rd & np.isin(line, recs["line"][is_write_all])
+    is_rd_l = is_rd.tolist()
+    line_l = line.tolist()
+    bank_l = (line % num_banks).tolist()
+    widx_l = write_ord_all[order].tolist()
+    columns = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        finish = np.cumsum(cost[lo:hi])
+        issue = finish - read_ns[lo:hi]
+        writes = np.flatnonzero(is_wr[lo:hi])
+        next_w = np.append(writes, hi - lo)[
+            np.searchsorted(writes, np.arange(hi - lo + 1))
+        ]
+        columns.append(
+            (
+                issue.tolist(),
+                finish.tolist(),
+                is_rd_l[lo:hi],
+                line_l[lo:hi],
+                bank_l[lo:hi],
+                widx_l[lo:hi],
+                next_w.tolist(),
+                np.concatenate(([0], np.cumsum(fwd[lo:hi]))).tolist(),
+                line[lo:hi][fwd[lo:hi]].tolist(),
+                int(gap[lo:hi].sum(dtype=np.int64)),
+            )
+        )
+    return columns
+
+
+class _LastTraceMemo:
+    """The free-run columns of the most recently modelled trace.
+
+    A sweep models every scheme of one workload back to back, and the
+    columns depend only on the trace and the timing parameters, so one
+    entry spares 4 of the 5 builds of a Fig 11-14 workload.  The entry
+    holds the trace weakly and is dropped when the trace is collected: a
+    hit needs the same live trace object (traces are not modified after
+    generation), and at most one trace's columns are ever kept.  A
+    lookup racing another thread at worst builds the columns twice.
+    """
+
+    def __init__(self) -> None:
+        self._entry = None  # (weakref to the trace, params, columns)
+
+    def columns(self, trace: Trace, *params):
+        entry = self._entry
+        if entry is not None and entry[0]() is trace and entry[1] == params:
+            return entry[2]
+        columns = _free_run_columns(trace, *params)
+        self._entry = (weakref.ref(trace, self._drop), params, columns)
+        return columns
+
+    def _drop(self, ref) -> None:
+        entry = self._entry
+        if entry is not None and entry[0] is ref:
+            self._entry = None
+
+
+_FREE_RUN = _LastTraceMemo()
 
 
 def model_cell(
@@ -144,19 +238,11 @@ def model_cell(
     lo = config.memctrl.drain_low_watermark
     wq_cap = config.memctrl.write_queue_entries
 
-    recs = trace.records
-    is_write_all = recs["op"] == OP_WRITE
-    write_ord_all = np.where(is_write_all, np.cumsum(is_write_all) - 1, -1)
-
     cores = [
-        _Core(
-            recs[recs["core"] == c],
-            write_ord_all[recs["core"] == c].astype(np.int64),
-            cycle,
-            t_read,
-            num_banks,
+        _Core(columns)
+        for columns in _FREE_RUN.columns(
+            trace, cycle, t_read, num_banks, config.cpu.num_cores
         )
-        for c in range(config.cpu.num_cores)
     ]
 
     svc = np.asarray(service_ns, dtype=np.float64).tolist()
@@ -325,8 +411,9 @@ def model_cell(
                 seq += 1
                 push_ev(evq, (c.issue[c.k] + c.D, seq, EV_REC, c))
 
+        pop_ev = heapq.heappop
         while evq:
-            t, _, kind, payload = heapq.heappop(evq)
+            t, _, kind, payload = pop_ev(evq)
             if kind == EV_REC:
                 c = payload
                 if not c.blocked and c.k < c.n:
@@ -359,31 +446,29 @@ def model_cell(
 
     # ------------------------------------------------------------------
     # Macro loop: free-run between windows; writes accumulate unserved.
-    while True:
-        best_t = None
-        best_c = None
-        best_k = -1
-        for c in cores:
-            k = c.k
-            is_rd = c.is_rd
-            n = c.n
-            while k < n and is_rd[k]:
-                k += 1
-            if k < n:
-                t = c.issue[k] + c.D
-                if best_t is None or t < best_t:
-                    best_t, best_c, best_k = t, c, k
-        if best_c is None:
+    # ``next_t[i]`` is core i's next write time (inf when it has none).
+    # Only the core that issued a write moves in a macro step, so only
+    # its entry is refreshed; a window moves every core.  ``min`` and
+    # ``index`` pick the lowest-numbered core among equal times.
+    inf = math.inf
+
+    def next_write_t(c):
+        k = c.next_w[c.k]
+        return c.issue[k] + c.D if k < c.n else inf
+
+    next_t = [next_write_t(c) for c in cores]
+    while next_t:
+        best_t = min(next_t)
+        if best_t >= inf:
             break
-        c, k = best_c, best_k
-        if pend_lines and k > c.k:
+        i = next_t.index(best_t)
+        c = cores[i]
+        k = c.next_w[c.k]
+        first, last = c.fwd_at[c.k], c.fwd_at[k]
+        if pend_lines and last > first:
             # Reads skipped over on the way to this write may hit a
             # pending line: they complete by forwarding, not the array.
-            nh = 0
-            line = c.line
-            for j in range(c.k, k):
-                if line[j] in pend_lines:
-                    nh += 1
+            nh = sum(map(pend_lines.__contains__, c.fwd_lines[first:last]))
             if nh:
                 n_fwd += nh
                 read_extra += nh * (fwd_ns - t_read)
@@ -398,6 +483,9 @@ def model_cell(
         c.k = k + 1
         if occ >= hi:
             window_sim(best_t)
+            next_t = [next_write_t(c) for c in cores]
+        else:
+            next_t[i] = next_write_t(c)
 
     finishes = [(c.finish[c.n - 1] + c.D) if c.n else 0.0 for c in cores]
     runtime = max(finishes) if finishes else 0.0

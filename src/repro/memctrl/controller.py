@@ -40,7 +40,10 @@ bank at or after the current position, whenever an observation there
 would change the state (the write occupancy crossed a watermark since
 the last observation, or ``force_drain`` was just set).  An observation
 that would change nothing is skipped, which leaves ``drain_entries`` and
-every scheduling decision as they were under the full scan.
+every scheduling decision as they were under the full scan.  Whether one
+would change the state is asked again only after the write occupancy or
+``force_drain`` changed since the last answer was "no": the drain state
+itself moves only at an observation, so the answer cannot change before.
 """
 
 from __future__ import annotations
@@ -108,18 +111,29 @@ class ControllerStats:
     def record(self, req: MemRequest) -> None:
         if req.kind is ReqKind.READ:
             self.completed_reads += 1
+            latency, wait, hist = self.read_latency, self.read_wait, self.read_hist
         else:
             self.completed_writes += 1
-        if self.completed <= self.warmup_requests:
+            latency, wait, hist = (
+                self.write_latency, self.write_wait, self.write_hist
+            )
+        if self.completed_reads + self.completed_writes <= self.warmup_requests:
             return  # warmup: counted for conservation, excluded from stats
-        if req.kind is ReqKind.READ:
-            self.read_latency.add(req.latency_ns)
-            self.read_wait.add(req.queue_wait_ns)
-            self.read_hist.add(req.latency_ns)
-        else:
-            self.write_latency.add(req.latency_ns)
-            self.write_wait.add(req.queue_wait_ns)
-            self.write_hist.add(req.latency_ns)
+        # LatencyStat.add for both stats, inlined on the per-completion
+        # path in the same operation order (bit-identical moments).
+        lat = req.latency_ns
+        for stat, value in ((latency, lat), (wait, req.queue_wait_ns)):
+            stat.count = count = stat.count + 1
+            stat.total += value
+            mean = stat._mean
+            delta = value - mean
+            stat._mean = mean = mean + delta / count
+            stat._m2 += delta * (value - mean)
+            if value < stat._min:
+                stat._min = value
+            if value > stat._max:
+                stat._max = value
+        hist.add(lat)
 
 
 class MemoryController:
@@ -154,8 +168,9 @@ class MemoryController:
         )
         self.bank_busy = [False] * self.num_banks
         # Per-bank in-flight bookkeeping for write pausing: the request
-        # being serviced, its completion event, and its finish time.
-        self._inflight: list[tuple[MemRequest, object, float] | None] = (
+        # being serviced, its completion event's handle, and its finish
+        # time.
+        self._inflight: list[tuple[MemRequest, int, float] | None] = (
             [None] * self.num_banks
         )
         # Per-bank paused write: (request, remaining service ns).
@@ -163,12 +178,19 @@ class MemoryController:
         self.stats = ControllerStats(warmup_requests=warmup_requests)
         self.forward_latency_ns = forward_latency_ns
         self.enable_forwarding = enable_forwarding
+        # Policy flags, read once: the config is frozen.
+        self._write_pausing = mc.write_pausing
+        self._write_coalescing = mc.write_coalescing
+        self._opportunistic = mc.opportunistic_drain
         # Banks the next kick must visit (bit b = bank b); see the module
         # docstring for what sets a bit.
         self._wake = 0
         self._read_waiters: deque[Callable[[], None]] = deque()
         self._write_waiters: deque[Callable[[], None]] = deque()
         self._kick_scheduled = False
+        # Set when the write occupancy or force_drain changed since the
+        # drain state was last found not to need an observation.
+        self._drain_dirty = True
         # Subarray read-under-write (refs [13]/[15]): one extra read port
         # per bank, usable while a write occupies a *different* subarray.
         self.subarrays = config.organization.subarrays_per_bank
@@ -243,10 +265,10 @@ class MemoryController:
                     )
                     self._obs.metrics.counter("memctrl.read_stalls").inc()
                 return False
-            if self.config.memctrl.write_pausing:
+            if self._write_pausing:
                 self._maybe_pause(req)
         else:
-            if self.config.memctrl.write_coalescing:
+            if self._write_coalescing:
                 pending = next(
                     (r for r in self.write_queue.for_bank(req.bank)
                      if r.line == req.line),
@@ -270,7 +292,9 @@ class MemoryController:
                     )
                     self._obs.metrics.counter("memctrl.write_stalls").inc()
                 return False
-            self._sample_occupancy()
+            self._drain_dirty = True
+            if self.occupancy_trace is not None:
+                self._sample_occupancy()
         if self._obs is not None:
             self._trace_depths()
         self._wake |= 1 << req.bank
@@ -283,10 +307,7 @@ class MemoryController:
         return self.occupancy_trace
 
     def _sample_occupancy(self) -> None:
-        if self.occupancy_trace is not None:
-            self.occupancy_trace.sample(
-                self.sim.now, self.write_queue.occupancy()
-            )
+        self.occupancy_trace.sample(self.sim.now, self.write_queue.occupancy())
 
     # ------------------------------------------------------------------
     # Write pausing (refs [23-24]: serve critical reads by suspending an
@@ -300,7 +321,7 @@ class MemoryController:
         inflight = self._inflight[bank]
         if inflight is None or self._paused[bank] is not None:
             return
-        req, event, finish_ns = inflight
+        req, handle, finish_ns = inflight
         if req.kind is not ReqKind.WRITE:
             return
         if self.subarrays > 1 and (
@@ -310,7 +331,7 @@ class MemoryController:
         remaining = finish_ns - self.sim.now
         if remaining <= self.config.memctrl.pause_threshold_ns:
             return  # about to finish anyway; not worth the re-ramp
-        event.cancel()
+        self.sim.cancel(handle)
         self._inflight[bank] = None
         self.bank_busy[bank] = False
         self._paused[bank] = (
@@ -354,18 +375,22 @@ class MemoryController:
         self._kick_scheduled = False
         policy = self.policy
         read_queue, write_queue = self.read_queue, self.write_queue
-        opportunistic = self.config.memctrl.opportunistic_drain
+        opportunistic = self._opportunistic
         pos = 0  # banks below pos have been passed in this kick
         while True:
             above = -1 << pos
             visit = self._wake & above
             # A pending drain transition is observed at the first idle,
             # unpaused bank at or after pos (see the module docstring).
-            observe = policy.next_drain_state(write_queue) != policy.draining
-            if observe:
-                free = self._first_free(pos)
-                if free is not None:
-                    visit |= 1 << free
+            observe = False
+            if self._drain_dirty:
+                observe = policy.next_drain_state(write_queue) != policy.draining
+                if observe:
+                    free = self._first_free(pos)
+                    if free is not None:
+                        visit |= 1 << free
+                else:
+                    self._drain_dirty = False
             if not visit:
                 return
             bit = visit & -visit
@@ -423,13 +448,19 @@ class MemoryController:
                 self._wake |= 1 << bank
 
     def _start_service(self, bank: int, req: MemRequest) -> None:
-        queue = self.read_queue if req.kind is ReqKind.READ else self.write_queue
-        queue.remove(req)
-        if req.kind is ReqKind.WRITE:
-            self._sample_occupancy()
+        if req.kind is ReqKind.READ:
+            self.read_queue.remove(req)
+            waiters = self._read_waiters
+        else:
+            self.write_queue.remove(req)
+            self._drain_dirty = True
+            if self.occupancy_trace is not None:
+                self._sample_occupancy()
+            waiters = self._write_waiters
         if self._obs is not None:
             self._trace_depths()
-        self._notify_waiters(req.kind)
+        if waiters:
+            waiters.popleft()()
         req.start_ns = self.sim.now
         if req.kind is ReqKind.READ:
             if self.policy.row_buffer is not None:
@@ -448,8 +479,8 @@ class MemoryController:
         self.stats.bank_busy_ns[bank] = (
             self.stats.bank_busy_ns.get(bank, 0.0) + service_ns
         )
-        event = self.sim.schedule(service_ns, self._complete, bank, req)
-        self._inflight[bank] = (req, event, self.sim.now + service_ns)
+        handle = self.sim.schedule(service_ns, self._complete, bank, req)
+        self._inflight[bank] = (req, handle, self.sim.now + service_ns)
         if self.subarrays > 1 and req.kind is ReqKind.WRITE:
             self._wake |= 1 << bank
 
@@ -470,7 +501,8 @@ class MemoryController:
         if read is None:
             return
         self.read_queue.remove(read)
-        self._notify_waiters(ReqKind.READ)
+        if self._read_waiters:
+            self._read_waiters.popleft()()
         read.start_ns = self.sim.now
         service_ns = self.service.read_ns(read)
         self._read_port_busy[bank] = True
@@ -485,11 +517,6 @@ class MemoryController:
             req.on_done(req)
         self._wake |= 1 << bank
         self._schedule_kick()
-
-    def _notify_waiters(self, kind: ReqKind) -> None:
-        waiters = self._read_waiters if kind is ReqKind.READ else self._write_waiters
-        if waiters:
-            waiters.popleft()()
 
     # ------------------------------------------------------------------
     # Completion.
@@ -516,6 +543,7 @@ class MemoryController:
     def flush_writes(self) -> None:
         """Drain the write queue unconditionally (end-of-run)."""
         self.policy.force_drain = True
+        self._drain_dirty = True
         self._schedule_kick()
 
     # ------------------------------------------------------------------

@@ -14,7 +14,7 @@ class ReqKind(enum.Enum):
     WRITE = "write"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class MemRequest:
     """One post-LLC request flowing through the controller.
 

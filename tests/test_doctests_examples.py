@@ -5,6 +5,7 @@ load-bearing documentation — they must keep running; likewise the
 fastest example script end-to-end.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -81,3 +82,17 @@ class TestToolScripts:
         api = (REPO / "docs" / "API.md").read_text()
         assert "repro.core.analysis" in api
         assert "TetrisScheduler" in api
+
+    def test_api_doc_signatures_show_annotations_as_written(self):
+        """A ``NamedTuple`` declared under postponed annotations renders
+        its fields as written, not as ``ForwardRef(...)`` objects."""
+        from repro.parallel.engine import CellPayload
+
+        spec = importlib.util.spec_from_file_location(
+            "gen_api_docs", REPO / "tools" / "gen_api_docs.py"
+        )
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        sig = gen.signature_of(CellPayload)
+        assert "ForwardRef" not in sig
+        assert "index: 'int'" in sig and "trace: 'Trace | None'" in sig

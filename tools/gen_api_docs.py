@@ -16,6 +16,7 @@ import inspect
 import pkgutil
 import re
 import sys
+import typing
 from pathlib import Path
 
 import repro
@@ -28,11 +29,32 @@ def first_line(obj) -> str:
     return doc.splitlines()[0] if doc else ""
 
 
+def _as_written(annotation):
+    """A ``ForwardRef`` annotation as the string it was written as.
+
+    ``NamedTuple`` fields declared under ``from __future__ import
+    annotations`` reach the generated ``__new__`` as ``ForwardRef``
+    objects; every other postponed annotation is already that string.
+    """
+    if isinstance(annotation, typing.ForwardRef):
+        return annotation.__forward_arg__
+    return annotation
+
+
 def signature_of(obj) -> str:
     try:
-        sig = str(inspect.signature(obj))
+        sig = inspect.signature(obj)
     except (TypeError, ValueError):
         return ""
+    sig = str(
+        sig.replace(
+            parameters=[
+                p.replace(annotation=_as_written(p.annotation))
+                for p in sig.parameters.values()
+            ],
+            return_annotation=_as_written(sig.return_annotation),
+        )
+    )
     # Default values whose repr embeds an object address (functions,
     # bound instances) vary run to run; pin them so the generated page
     # is byte-stable and the SL013 drift check never sees noise.
