@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint verify oracle bench bench-quick bench-fastpath bench-scheme-zoo bench-service faults trace all
+.PHONY: test lint verify oracle bench bench-fastpath bench-scheme-zoo bench-service faults trace all
 
 test:            ## tier-1 test suite
 	$(PYTHON) -m pytest -x -q
@@ -21,10 +21,7 @@ oracle:          ## differential + metamorphic oracle run (docs/ORACLE.md)
 bench:           ## paper-figure benches (prints + writes benchmarks/out/)
 	$(PYTHON) -m pytest benchmarks/ -q
 
-bench-quick:     ## full Fig 11-14 grid, DES + fastpath -> BENCH_sweep.json
-	$(PYTHON) benchmarks/quick_sweep.py
-
-bench-fastpath:  ## fastpath/vector speedup gates -> BENCH_fastpath.json
+bench-fastpath:  ## Fig 11-14 grid, DES + fastpath speedup gates -> BENCH_fastpath.json
 	$(PYTHON) benchmarks/bench_fastpath.py
 
 bench-scheme-zoo: ## cross-paper scheme x workload grid -> BENCH_scheme_zoo.json
@@ -35,7 +32,7 @@ bench-service:   ## pinned two-tenant server run -> BENCH_service.json
 
 faults:          ## fault-injection smoke: tests at 1e-3 + overhead bench
 	REPRO_VERIFY=1 REPRO_FAULT_RATE=1e-3 $(PYTHON) -m pytest -x -q tests/test_faults.py
-	$(PYTHON) -m pytest -q benchmarks/bench_faults.py
+	$(PYTHON) -m pytest -q benchmarks/bench_hot_path_overhead.py
 
 trace:           ## record + validate a Perfetto trace (docs/OBSERVABILITY.md)
 	$(PYTHON) -m repro.cli obs --fullsystem --requests 120 --out trace.json \

@@ -16,9 +16,7 @@ from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.power_util import power_utilization
 from repro.analysis.report import format_table
 
-from _bench_utils import emit
-
-SCHEMES = ("dcw", "flip_n_write", "two_stage", "three_stage", "tetris")
+from _bench_utils import SCHEMES, emit
 
 
 def test_power_utilization(benchmark, traces):

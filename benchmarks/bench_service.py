@@ -2,7 +2,7 @@
 
 Drives a live :class:`repro.service.SweepService` over its unix socket
 with two concurrent tenants and emits a machine-readable baseline
-(same contract as ``quick_sweep.py`` -> ``BENCH_sweep.json``):
+(same contract as ``bench_fastpath.py`` -> ``BENCH_fastpath.json``):
 
 * **jobs/s and cells/s** through the full submit -> schedule ->
   execute -> journal -> reply path;

@@ -9,9 +9,7 @@ the interactive-workload story the averages hide.
 from repro.analysis.report import format_table
 from repro.experiments.fullsystem import run_fullsystem
 
-from _bench_utils import emit
-
-SCHEMES = ("dcw", "flip_n_write", "two_stage", "three_stage", "tetris")
+from _bench_utils import SCHEMES, emit
 
 
 def test_read_tail_latency(benchmark, traces):

@@ -12,17 +12,18 @@ import sys
 
 from repro.analysis.metrics import arithmetic_mean
 from repro.analysis.report import ascii_bar_chart, format_table
-from repro.experiments.runner import run_schemes_on_workloads
+from repro.experiments.runner import BASELINE_SCHEME, run_schemes_on_workloads
+from repro.schemes import COMPARED_SCHEMES
 from repro.trace.workloads import WORKLOAD_NAMES
 
-SCHEMES = ("dcw", "flip_n_write", "two_stage", "three_stage", "tetris")
+SCHEMES = (BASELINE_SCHEME, *COMPARED_SCHEMES)
 
 requests = int(sys.argv[1]) if len(sys.argv) > 1 else 1200
 print(f"running {len(WORKLOAD_NAMES)} workloads x {len(SCHEMES)} schemes "
       f"at {requests} requests/core ...\n")
 
 results = run_schemes_on_workloads(SCHEMES, requests_per_core=requests)
-base = {r.workload: r for r in results if r.scheme == "dcw"}
+base = {r.workload: r for r in results if r.scheme == BASELINE_SCHEME}
 
 for metric, title, better in (
     ("read_latency", "read latency vs DCW (Fig 11)", "lower"),

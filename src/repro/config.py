@@ -261,8 +261,8 @@ class TraceConfig:
     Perfetto-loadable Chrome trace JSON and flamegraph collapsed
     stacks.  Off by default: a disabled run must stay bit-identical to
     a build without the observability subsystem (the disabled path is
-    one attribute check per site; ``benchmarks/bench_obs_overhead.py``
-    pins it below 2%).
+    one attribute check per site;
+    ``benchmarks/bench_hot_path_overhead.py`` pins it below 2%).
     """
 
     enabled: bool = False

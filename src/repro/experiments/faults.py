@@ -8,7 +8,8 @@ quantitatively:
   rates and reports how the verify-and-retry loop stretches the service
   latency distribution (mean / P50 / P99) and energy.  At rate 0 the
   numbers must coincide with the fault-free simulator (the bench in
-  ``benchmarks/bench_faults.py`` holds the overhead under 2%).
+  ``benchmarks/bench_hot_path_overhead.py`` holds the disabled path's
+  overhead under 2%).
 * **How does the array die?** :func:`retirement_curve` hammers a small
   set of lines with a tiny endurance budget and records the degradation
   cascade: cells sticking, ECP entries filling, lines retiring to

@@ -17,14 +17,14 @@ from repro.config import SystemConfig, default_config
 from repro.experiments import ablation
 from repro.experiments.fig03 import measure_bit_profile
 from repro.experiments.fig10 import measure_write_units
-from repro.experiments.runner import run_schemes_on_workloads
+from repro.experiments.runner import BASELINE_SCHEME, run_schemes_on_workloads
+from repro.schemes import COMPARED_SCHEMES
 from repro.trace.synthetic import generate_trace
 from repro.trace.workloads import WORKLOAD_NAMES
 
 __all__ = ["generate_report"]
 
-SCHEMES = ("dcw", "flip_n_write", "two_stage", "three_stage", "tetris")
-COMPARED = SCHEMES[1:]
+SCHEMES = (BASELINE_SCHEME, *COMPARED_SCHEMES)
 
 
 def _code(text: str) -> str:
@@ -78,7 +78,7 @@ def generate_report(
         SCHEMES, WORKLOAD_NAMES, config=cfg,
         requests_per_core=requests_per_core, seed=seed, traces=traces,
     )
-    base = {r.workload: r for r in grid if r.scheme == "dcw"}
+    base = {r.workload: r for r in grid if r.scheme == BASELINE_SCHEME}
     for metric, title, fig in (
         ("read_latency", "read latency (normalized)", "Figure 11"),
         ("write_latency", "write latency (normalized)", "Figure 12"),
@@ -86,16 +86,16 @@ def generate_report(
         ("running_time", "running time (normalized)", "Figure 14"),
     ):
         rows = []
-        means = {s: [] for s in COMPARED}
+        means = {s: [] for s in COMPARED_SCHEMES}
         for wl in WORKLOAD_NAMES:
             row = [wl]
-            for s in COMPARED:
+            for s in COMPARED_SCHEMES:
                 r = next(x for x in grid if x.workload == wl and x.scheme == s)
                 v = r.normalized(base[wl])[metric]
                 means[s].append(v)
                 row.append(v)
             rows.append(row)
-        rows.append(["AVERAGE"] + [arithmetic_mean(means[s]) for s in COMPARED])
+        rows.append(["AVERAGE"] + [arithmetic_mean(means[s]) for s in COMPARED_SCHEMES])
         sections.append(f"## {fig} — {title}\n")
         sections.append(_code(format_table(
             ["workload", "FNW", "2SW", "3SW", "Tetris"], rows

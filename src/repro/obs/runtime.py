@@ -9,7 +9,7 @@ constructor; they resolve it once at construction time::
 
 and guard every hot-path emission with ``if self._obs is not None`` —
 the single attribute test that keeps disabled runs bit-identical and
-within the <2% overhead bar (``benchmarks/bench_obs_overhead.py``).
+within the <2% overhead bar (``benchmarks/bench_hot_path_overhead.py``).
 
 :func:`tracer_for` returns the process-wide installed tracer, creating
 and installing one sized by ``config.trace.buffer_events`` on first use

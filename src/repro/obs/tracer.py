@@ -10,7 +10,7 @@ design constraints come from the simulator it observes:
   ``None`` unless ``config.trace.enabled``), so a disabled run pays one
   ``if self._obs is None`` attribute test per instrumentation site and
   executes byte-for-byte the same simulation (`tests/test_obs.py`
-  pins bit-identity, ``benchmarks/bench_obs_overhead.py`` pins <2%).
+  pins bit-identity, ``benchmarks/bench_hot_path_overhead.py`` pins <2%).
 * **Bounded memory.**  The ring holds ``capacity`` events; older events
   are overwritten and counted in :attr:`Tracer.dropped` instead of
   growing without bound under Fig 11-14 scale runs.

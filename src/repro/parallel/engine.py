@@ -1082,7 +1082,7 @@ def _map_task(payload: tuple):
     return fn(item)
 
 
-def parallel_map(fn, items, *, workers: int = 1, chunksize: int = 1) -> list:
+def parallel_map(fn, items, *, workers: int = 1) -> list:
     """Map ``fn`` over ``items`` preserving order, optionally in a pool.
 
     Unlike :class:`SweepEngine`, failures propagate immediately (the
@@ -1090,8 +1090,8 @@ def parallel_map(fn, items, *, workers: int = 1, chunksize: int = 1) -> list:
     experiment artifacts worth salvaging): a task exception is re-raised
     in the parent, and a worker death raises
     :class:`~repro.parallel.supervisor.WorkerTaskError`.  ``fn`` and
-    every item must be picklable when ``workers > 1``.  ``chunksize``
-    is accepted for backward compatibility; dispatch is per item.
+    every item must be picklable when ``workers > 1``.  Dispatch is per
+    item.
     """
     items = list(items)
     if not items:
